@@ -10,18 +10,39 @@ evaluation/interpolation scheme:
 * bound the degree (sum of per-row maxima) and the coefficient l1-norm
   (product of per-row entry-norm sums),
 * evaluate the matrix at enough integer points modulo several primes,
-  run batched Gaussian elimination in numpy, interpolate the coefficients
-  with a cached inverse Vandermonde matrix, and
+  run batched division-free elimination in numpy, interpolate the
+  coefficients with a cached inverse Vandermonde matrix, and
 * lift by the Chinese remainder theorem with symmetric representatives.
 
 Gaussian-integer coefficients are handled with primes p = 1 (mod 4): the
 two ring maps i -> +/- sqrt(-1) (mod p) give conjugate evaluations whose
 half-sum and half-difference separate the real and imaginary parts.
 
-Every step is exact; no floating point is involved anywhere.
+Block minors.  The quaternionic pair needs, for an N x N doubled matrix
+(N = 2m), the m^2 minors that delete one 2 x 2 block row r and one block
+column c.  ``det_gaussian_submatrices`` recognises these selections and,
+at every evaluation point, gets all of them from one division-free
+Gauss-Jordan elimination of [A | I] mod p.  The rule is picked by the rank
+of the evaluated matrix A over F_p:
+
+* rank N (Jacobi's complementary-minor identity):
+  minor(r, c) = det A * det (A^-1)[{2c, 2c+1}, {2r, 2r+1}]; the sign
+  (-1)^(sum of the deleted indices) is + for block deletions;
+* rank N-2: the (N-2)-th compound of A has rank one, so
+  minor(r, c) = kappa * u_r * w_c, where u and w are the block 2 x 2
+  Pluecker coordinates of the left and right kernels and kappa comes from
+  one directly eliminated nonzero minor;
+* rank < N-2: every minor is 0;
+* rank N-1: the minors of that matrix are eliminated one by one.
+
+Each rule is an identity over F_p, so every value is exact whatever the
+generic rank of the polynomial matrix (Horn & Johnson, *Matrix Analysis*,
+section 0.8).  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -79,9 +100,9 @@ def _primes(count):
 def _num_primes_for(bound):
     """How many ~15e6 primes are needed so their product exceeds 2*bound."""
     need = 2 * bound + 1
-    prod, k = 1, 0
-    while prod < need:
-        prod *= _PRIME_START
+    acc, k = 1, 0
+    while acc < need:
+        acc *= _PRIME_START
         k += 1
     return max(k, 1)
 
@@ -97,34 +118,208 @@ def _modpow(base, e, p):
     return result
 
 
+def _mod_inplace(x, p):
+    """Reduce an int64 array mod p in place and return it.
+
+    numpy divides by a scalar far faster than it takes a remainder, so
+    this is x - (x // p) * p rather than x % p; both are exact.
+    """
+    q = np.floor_divide(x, p)
+    q *= p
+    x -= q
+    return x
+
+
 def _batch_det_mod(a, p):
-    """Determinants mod p of a stack of square int64 matrices (B, n, n)."""
+    """Determinants mod p of a stack of square int64 matrices (B, n, n).
+
+    Division-free: each row below the pivot becomes piv * row - f * prow,
+    and the product of those scalings is inverted once per matrix at the
+    end.  Entries stay below p < 2^31, so every product fits in int64.
+    """
     a = np.array(a, dtype=np.int64) % p
     B, n, _ = a.shape
-    det = np.ones(B, dtype=np.int64)
+    det = np.ones(B, dtype=np.int64)  # sign * product of the pivots
+    lead = np.ones(B, dtype=np.int64)  # product of the pivots so far
+    scale = np.ones(B, dtype=np.int64)  # det(U) = det(A) * scale
     for k in range(n):
-        col = a[:, k:, k]
-        nz = col != 0
-        has = nz.any(axis=1)
-        det[~has] = 0
-        piv_rel = nz.argmax(axis=1)
-        swap = (piv_rel > 0) & has
-        idx = np.nonzero(swap)[0]
+        nz = a[:, k:, k] != 0
+        src = nz.argmax(axis=1) + k
+        idx = np.nonzero(src > k)[0]
         if idx.size:
-            rk = piv_rel[idx] + k
+            rk = src[idx]
             tmp = a[idx, k, :].copy()
             a[idx, k, :] = a[idx, rk, :]
             a[idx, rk, :] = tmp
-            det[idx] = (p - det[idx]) % p
-        piv = a[:, k, k]
-        det = det * piv % p
+            det[idx] = p - det[idx]
+        det = det * a[:, k, k] % p
         if k + 1 < n:
-            inv = _modpow(np.where(piv == 0, 1, piv), p - 2, p)
-            factors = a[:, k + 1 :, k] * inv[:, None] % p
-            a[:, k + 1 :, k:] = (
-                a[:, k + 1 :, k:] - factors[..., None] * a[:, None, k, k:]
-            ) % p
-    return det
+            # a column without a pivot has already made det 0; scaling its
+            # rows by 1 keeps scale invertible
+            piv = np.where(nz.any(axis=1), a[:, k, k], 1)
+            upd = piv[:, None, None] * a[:, k + 1 :, k + 1 :]
+            upd -= a[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
+            a[:, k + 1 :, k + 1 :] = _mod_inplace(upd, p)
+            lead = lead * piv % p
+            scale = scale * lead % p
+    return det * _modpow(scale, p - 2, p) % p
+
+
+def _chunked_det(stack, p):
+    """_batch_det_mod in chunks of about 2e6 entries, to cap working memory."""
+    n = stack.shape[1]
+    chunk = max(1, 2_000_000 // max(n * n, 1))
+    return np.concatenate(
+        [_batch_det_mod(stack[i : i + chunk], p) for i in range(0, len(stack), chunk)]
+    )
+
+
+def _gauss_jordan_mod(a, p):
+    """Division-free Gauss-Jordan elimination of [A | I] mod p, batched.
+
+    For a stack a of shape (B, n, n) with entries in [0, p), returns
+    (M, rank, pivotal, sign, lead) with M = [R | T] and T A = R.  The
+    rank[b] pivot rows of R come first, in the order of their pivot
+    columns (pivotal[b, k] marks those), and every other pivot column is
+    zero in them.  Each step replaces every row by piv * row - f * prow
+    (f = 0 on the pivot row itself), so det T = sign * lead^n with lead
+    the product of the pivots.
+    """
+    B, n, _ = a.shape
+    M = np.zeros((B, n, 2 * n), dtype=np.int64)
+    M[:, :, :n] = a
+    M[:, :, n:] = np.eye(n, dtype=np.int64)
+    rank = np.zeros(B, dtype=np.int64)
+    pivotal = np.zeros((B, n), dtype=bool)
+    sign = np.ones(B, dtype=np.int64)
+    lead = np.ones(B, dtype=np.int64)
+    rows = np.arange(n)
+    bi = np.arange(B)
+    for k in range(n):
+        cand = (M[:, :, k] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        # rank <= k < n, so M[bi, rank] is a row even where column k has
+        # no pivot; there piv = 1 and f = 0 leave the matrix unchanged
+        src = cand.argmax(axis=1)
+        sw = np.nonzero(has & (src != rank))[0]
+        if sw.size:
+            d, s = rank[sw], src[sw]
+            tmp = M[sw, d].copy()
+            M[sw, d] = M[sw, s]
+            M[sw, s] = tmp
+            sign[sw] = -sign[sw]
+        prow = M[bi, rank]
+        piv = np.where(has, prow[:, k], 1)
+        f = np.where(has[:, None], M[:, :, k], 0)
+        f[bi, rank] = 0
+        M *= piv[:, None, None]
+        M -= f[:, :, None] * prow[:, None, :]
+        _mod_inplace(M, p)
+        lead = lead * piv % p
+        pivotal[:, k] = has
+        rank += has
+    return M, rank, pivotal, sign, lead
+
+
+def _products_but_one(x, p):
+    """out[..., i] = product of x[..., j] over j != i, mod p (no inverses)."""
+    out = np.empty_like(x)
+    acc = np.ones(x.shape[:-1], dtype=np.int64)
+    for i in range(x.shape[-1]):
+        out[..., i] = acc
+        acc = acc * x[..., i] % p
+    acc = np.ones(x.shape[:-1], dtype=np.int64)
+    for i in reversed(range(x.shape[-1])):
+        out[..., i] = out[..., i] * acc % p
+        acc = acc * x[..., i] % p
+    return out
+
+
+def _block_keep(m):
+    """keep[r] = the 2m - 2 indices left after deleting block r = {2r, 2r+1}."""
+    return np.array(
+        [[i for i in range(2 * m) if i // 2 != r] for r in range(m)], dtype=np.int64
+    ).reshape(m, 2 * m - 2)
+
+
+def _pluecker2(x):
+    """2 x 2 determinants over the last two axes, not yet reduced mod p."""
+    return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+
+
+def _block_minors_mod(a, p):
+    """All block-deleted minors of a stack of N x N matrices mod p (N = 2m).
+
+    Returns out of shape (B, m, m): out[b, r, c] is the determinant of a[b]
+    without rows 2r, 2r+1 and columns 2c, 2c+1.  One Gauss-Jordan
+    elimination serves every minor of a matrix; see the module docstring
+    for the rule used at each rank.
+    """
+    a = np.array(a, dtype=np.int64) % p
+    B, n, _ = a.shape
+    m = n // 2
+    keep = _block_keep(m)
+    out = np.zeros((B, m, m), dtype=np.int64)
+    M, rank, pivotal, sign, lead = _gauss_jordan_mod(a, p)
+
+    full = np.nonzero(rank == n)[0]
+    if full.size:
+        # A^-1 = diag(d)^-1 T and det A = prod(d) / det T, so
+        # minor(r, c) = det T[blk c, blk r] * prod_{i not in blk c} d_i / det T
+        F = full.size
+        Mf = M[full]
+        diag = np.arange(n)
+        d = Mf[:, diag, diag].reshape(F, m, 2)
+        excl = _products_but_one(d[:, :, 0] * d[:, :, 1] % p, p)  # (F, m) over c
+        T = Mf[:, :, n:].reshape(F, m, 2, m, 2).transpose(0, 3, 1, 2, 4)
+        tdet = _pluecker2(T) % p  # (F, r, c): det T[blk c, blk r]
+        coef = sign[full] * _modpow(lead[full], p - 1 - n, p) % p
+        out[full] = tdet * excl[:, None, :] % p * coef[:, None, None] % p
+
+    low = np.nonzero(rank == n - 2)[0]
+    if low.size:
+        L = low.size
+        Ml = M[low]
+        # left kernel: the last two rows of T
+        u = _pluecker2(Ml[:, n - 2 :, n:].reshape(L, 2, m, 2).transpose(0, 2, 1, 3)) % p
+        # right kernel from the free columns f of R: y_f = prod(d),
+        # y_{pc_i} = -R[i, f] * prod_{j != i} d_j (the kernel scaled by prod(d))
+        pc = np.nonzero(pivotal[low])[1].reshape(L, n - 2)
+        fc = np.nonzero(~pivotal[low])[1].reshape(L, 2)
+        R = Ml[:, : n - 2, :n]
+        d = np.take_along_axis(R, pc[:, :, None], axis=2)[:, :, 0]
+        rf = np.take_along_axis(R, fc[:, None, :], axis=2)
+        y = np.zeros((L, n, 2), dtype=np.int64)
+        li = np.arange(L)
+        y[li[:, None], pc] = -rf * _products_but_one(d, p)[:, :, None] % p
+        dprod = np.ones(L, dtype=np.int64)
+        for i in range(n - 2):
+            dprod = dprod * d[:, i] % p
+        y[li, fc[:, 0], 0] = dprod
+        y[li, fc[:, 1], 1] = dprod
+        w = _pluecker2(y.reshape(L, m, 2, 2)) % p
+        ok = u.any(axis=1) & w.any(axis=1)
+        if ok.any():
+            sel, u, w = low[ok], u[ok], w[ok]
+            si = np.arange(sel.size)
+            r0 = (u != 0).argmax(axis=1)
+            c0 = (w != 0).argmax(axis=1)
+            sub = a[sel[:, None, None], keep[r0][:, :, None], keep[c0][:, None, :]]
+            kappa = (
+                _batch_det_mod(sub, p)
+                * _modpow(u[si, r0] * w[si, c0] % p, p - 2, p)
+                % p
+            )
+            out[sel] = kappa[:, None, None] * u[:, :, None] % p * w[:, None, :] % p
+
+    mid = np.nonzero(rank == n - 1)[0]
+    if mid.size:
+        subs = a[mid][:, keep[:, None, :, None], keep[None, :, None, :]]
+        subs = subs.reshape(mid.size * m * m, n - 2, n - 2)
+        out[mid] = _chunked_det(subs, p).reshape(mid.size, m, m)
+    return out
 
 
 def _vand_inv(npoints, p):
@@ -159,15 +354,15 @@ def _vand_inv(npoints, p):
 
 
 def _crt_symmetric(residues, primes):
-    """Symmetric-range integer from residues modulo pairwise-coprime primes."""
-    x, M = 0, 1
-    for r, p in zip(residues, primes):
-        t = (r - x) * pow(M, -1, p) % p
-        x += M * t
+    """Symmetric-range integers (an object array) from equally shaped
+    arrays of residues modulo distinct primes."""
+    x = residues[0].astype(object)
+    M = primes[0]
+    for r, p in zip(residues[1:], primes[1:]):
+        t = (r - x % p) * pow(M, -1, p) % p
+        x = x + M * t
         M *= p
-    if x > M // 2:
-        x -= M
-    return x
+    return np.where(x > M // 2, x - M, x)
 
 
 def _point_powers(npoints, maxdeg, p):
@@ -181,6 +376,83 @@ def _point_powers(npoints, maxdeg, p):
     return XP
 
 
+def _shift_rows(mat):
+    """Shift each row by a monomial so its least exponent is 0.
+
+    Returns (shifted rows, shifts, row degrees, row l1 norms); a zero row
+    keeps shift 0 and has l1 norm 0.
+    """
+    shifted, shifts, degs, l1s = [], [], [], []
+    for row in mat:
+        v = min((e.min_exp() for e in row if e), default=0)
+        srow = [e.shift(-v) for e in row] if v else row
+        shifted.append(srow)
+        shifts.append(v)
+        degs.append(max((e.max_exp() for e in srow if e), default=0))
+        l1s.append(sum(e.l1_norm() for e in srow))
+    return shifted, shifts, degs, l1s
+
+
+def _gaussian_coeffs(shifted):
+    """(re, im) coefficient arrays of shape (n, n, deg + 1), as Python ints
+    so that coefficients of any size reduce exactly mod p."""
+    ed = max((e.max_exp() for row in shifted for e in row if e), default=0)
+    shape = (len(shifted), len(shifted[0]), ed + 1)
+    re, im = np.zeros(shape, dtype=object), np.zeros(shape, dtype=object)
+    for r, row in enumerate(shifted):
+        for c, e in enumerate(row):
+            for d, v in e.re.terms.items():
+                re[r, c, d] = v
+            for d, v in e.im.terms.items():
+                im[r, c, d] = v
+    return re, im
+
+
+def _evaluate(coeffs, P, p, root):
+    """The matrix at t = 1..P mod p, first with i -> root, then i -> -root:
+    a stack of shape (2P, n, n)."""
+    re, im = coeffs
+    XP = _point_powers(P, re.shape[2] - 1, p)
+    vre = np.tensordot((re % p).astype(np.int64), XP, axes=([2], [1])) % p
+    vim = np.tensordot((im % p).astype(np.int64), XP, axes=([2], [1])) % p
+    return np.concatenate(
+        [
+            np.moveaxis((vre + root * vim) % p, 2, 0),
+            np.moveaxis((vre - root * vim) % p, 2, 0),
+        ]
+    )
+
+
+def _interpolate_gaussian(D, L, evaluate, var):
+    """Exact polynomials over Z[i] of degree <= D and coefficient l1-norm
+    <= L, from their values.
+
+    evaluate(p, root, P) returns a (2P, S) array: the values of S
+    polynomials mod p at t = 1..P with i -> root, then with i -> -root.
+    Returns the S polynomials as GaussianLaurent.
+    """
+    P = D + 1
+    primes = _primes(_num_primes_for(L))
+    re_res, im_res = [], []
+    for p, root in primes:
+        vals = evaluate(p, root, P)
+        vplus, vminus = vals[:P], vals[P:]
+        Vinv = _vand_inv(P, p)
+        re_res.append(Vinv @ ((vplus + vminus) * pow(2, -1, p) % p) % p)
+        im_res.append(Vinv @ ((vplus - vminus) * pow(2 * root, -1, p) % p) % p)
+    plist = [p for p, _ in primes]
+    re = _crt_symmetric(re_res, plist)
+    im = _crt_symmetric(im_res, plist)
+    return [
+        GaussianLaurent(_poly(re[:, s], var), _poly(im[:, s], var))
+        for s in range(re.shape[1])
+    ]
+
+
+def _poly(coeffs, var):
+    return LaurentPoly({d: int(c) for d, c in enumerate(coeffs) if c}, var)
+
+
 def det_gaussian_many(mats, var="t"):
     """Exact determinants of matrices over Z[i][t, t^-1].
 
@@ -189,105 +461,36 @@ def det_gaussian_many(mats, var="t"):
     """
     results: list = [None] * len(mats)
     zero = GaussianLaurent(LaurentPoly({}, var), LaurentPoly({}, var))
-    jobs = []  # (idx, n, re_coeffs, im_coeffs, entry_deg, total_shift)
-    D, Lmax = 0, 1
+    jobs = []  # (idx, coefficient arrays, total shift)
+    D, L = 0, 1
     for idx, mat in enumerate(mats):
-        n = len(mat)
-        if n == 0:
+        if not mat:
             results[idx] = GaussianLaurent.const(1, 0, var)
             continue
-        shifted, total_shift, degsum, L = [], 0, 0, 1
-        ok = True
-        for row in mat:
-            nz = [e for e in row if e]
-            if not nz:
-                ok = False
-                break
-            v = min(e.min_exp() for e in nz)
-            total_shift += v
-            srow = [e.shift(-v) for e in row]
-            shifted.append(srow)
-            degsum += max(e.max_exp() for e in srow if e)
-            L *= sum(e.l1_norm() for e in srow)
-        if not ok:
+        shifted, shifts, degs, l1s = _shift_rows(mat)
+        if not all(l1s):
             results[idx] = zero
             continue
-        ed = max(
-            (e.max_exp() for row in shifted for e in row if e), default=0
-        )
-        rc = [
-            [[e.re.terms.get(d, 0) for d in range(ed + 1)] for e in row]
-            for row in shifted
-        ]
-        ic = [
-            [[e.im.terms.get(d, 0) for d in range(ed + 1)] for e in row]
-            for row in shifted
-        ]
-        jobs.append((idx, n, rc, ic, ed, total_shift))
-        D = max(D, degsum)
-        Lmax = max(Lmax, L)
+        jobs.append((idx, _gaussian_coeffs(shifted), sum(shifts)))
+        D = max(D, sum(degs))
+        L = max(L, prod(l1s))
     if not jobs:
         return results
+    by_size: dict[int, list] = {}
+    for j, (_idx, coeffs, _shift) in enumerate(jobs):
+        by_size.setdefault(coeffs[0].shape[0], []).append(j)
 
-    P = D + 1
-    primes = _primes(_num_primes_for(Lmax))
-    # residue coefficient arrays per job: lists over primes
-    job_res = {j[0]: ([], []) for j in jobs}  # idx -> (re per prime, im)
-    for p, root in primes:
-        Vinv = _vand_inv(P, p)
-        inv2 = pow(2, p - 2, p)
-        inv2r = pow(2 * root % p, p - 2, p)
-        # build evaluation batches grouped by size
-        groups: dict[int, list] = {}
-        for idx, n, rc, ic, ed, _sh in jobs:
-            XP = _point_powers(P, ed, p)
-            Cre = np.array(rc, dtype=object) % p
-            Cim = np.array(ic, dtype=object) % p
-            Cre = Cre.astype(np.int64)
-            Cim = Cim.astype(np.int64)
-            vre = np.tensordot(Cre, XP, axes=([2], [1])) % p  # (n, n, P)
-            vim = np.tensordot(Cim, XP, axes=([2], [1])) % p
-            mplus = (vre + root * vim) % p  # i -> +root
-            mminus = (vre - root * vim) % p  # i -> -root
-            stack = np.concatenate(
-                [np.moveaxis(mplus, 2, 0), np.moveaxis(mminus, 2, 0)]
-            )  # (2P, n, n)
-            groups.setdefault(n, []).append((idx, stack))
-        for n, items in groups.items():
-            big = np.concatenate([s for _, s in items])
-            # cap working-set size: eliminate in chunks of ~2e6 entries
-            chunk = max(1, 2_000_000 // (n * n))
-            dets = np.concatenate(
-                [
-                    _batch_det_mod(big[i : i + chunk], p)
-                    for i in range(0, len(big), chunk)
-                ]
-            )
-            for pos, (idx, _s) in enumerate(items):
-                seg = dets[pos * 2 * P : (pos + 1) * 2 * P]
-                vplus, vminus = seg[:P], seg[P:]
-                revals = (vplus + vminus) * inv2 % p
-                imvals = (vplus - vminus) * inv2r % p
-                recoef = Vinv @ revals % p
-                imcoef = Vinv @ imvals % p
-                job_res[idx][0].append(recoef)
-                job_res[idx][1].append(imcoef)
+    def evaluate(p, root, P):
+        vals = np.empty((2 * P, len(jobs)), dtype=np.int64)
+        for js in by_size.values():
+            stack = np.concatenate([_evaluate(jobs[j][1], P, p, root) for j in js])
+            vals[:, js] = _chunked_det(stack, p).reshape(len(js), 2 * P).T
+        return vals
 
-    plist = [p for p, _ in primes]
-    for idx, n, _rc, _ic, _ed, total_shift in jobs:
-        relists, imlists = job_res[idx]
-        rterms, iterms = {}, {}
-        for d in range(P):
-            c = _crt_symmetric([int(a[d]) for a in relists], plist)
-            if c:
-                rterms[d] = c
-            c = _crt_symmetric([int(a[d]) for a in imlists], plist)
-            if c:
-                iterms[d] = c
-        g = GaussianLaurent(
-            LaurentPoly(rterms, var), LaurentPoly(iterms, var)
-        ).shift(total_shift)
-        results[idx] = g
+    for (idx, _coeffs, shift), g in zip(
+        jobs, _interpolate_gaussian(D, L, evaluate, var)
+    ):
+        results[idx] = g.shift(shift)
     return results
 
 
@@ -297,124 +500,56 @@ def det_gaussian_submatrices(mat, selections, var="t"):
 
     selections is a list of (rows, cols) index tuples (equal lengths).
     The base matrix is evaluated once per prime and each submatrix is a
-    slice of the evaluated stack, so the cost of many overlapping minors
-    (as in codimension-1 gcds) stays near the cost of one determinant.
+    slice of the evaluated stack.  Selections that delete one 2 x 2 block
+    row and one block column of an even-sized matrix are all read off one
+    Gauss-Jordan elimination per evaluation point (see the module
+    docstring); any other selection is eliminated on its own.
     """
-    m = len(mat)
-    zero = GaussianLaurent(LaurentPoly({}, var), LaurentPoly({}, var))
-    if m == 0:
+    n = len(mat)
+    if n == 0:
         return [GaussianLaurent.const(1, 0, var) for _ in selections]
-    shifts = [0] * m
-    rowmax = [0] * m
-    rowl1 = [1] * m
-    zero_rows = set()
-    shifted = []
-    for r, row in enumerate(mat):
-        nz = [e for e in row if e]
-        if not nz:
-            zero_rows.add(r)
-            shifted.append(list(row))
-            continue
-        v = min(e.min_exp() for e in nz)
-        shifts[r] = v
-        srow = [e.shift(-v) for e in row]
-        shifted.append(srow)
-        rowmax[r] = max(e.max_exp() for e in srow if e)
-        rowl1[r] = sum(e.l1_norm() for e in srow)
-    live = [
-        (i, sel)
-        for i, sel in enumerate(selections)
-        if not (set(sel[0]) & zero_rows)
-    ]
+    zero = GaussianLaurent(LaurentPoly({}, var), LaurentPoly({}, var))
     results = [zero] * len(selections)
+    shifted, shifts, degs, l1s = _shift_rows(mat)
+    live = [
+        (i, tuple(rows), tuple(cols))
+        for i, (rows, cols) in enumerate(selections)
+        if all(l1s[r] for r in rows)
+    ]
     if not live:
         return results
-    D = max(sum(rowmax[r] for r in sel[0]) for _i, sel in live)
-    Lmax = max(
-        max((_prod(rowl1[r] for r in sel[0]) for _i, sel in live)), 1
+    D = max(sum(degs[r] for r in rows) for _i, rows, _cols in live)
+    L = max(prod(l1s[r] for r in rows) for _i, rows, _cols in live)
+    block_of = (
+        {tuple(k): r for r, k in enumerate(_block_keep(n // 2).tolist())}
+        if n % 2 == 0
+        else {}
     )
-    P = D + 1
-    ed = max((e.max_exp() for row in shifted for e in row if e), default=0)
-    Cre = np.array(
-        [[[e.re.terms.get(d, 0) for d in range(ed + 1)] for e in row] for row in shifted],
-        dtype=np.int64,
-    )
-    Cim = np.array(
-        [[[e.im.terms.get(d, 0) for d in range(ed + 1)] for e in row] for row in shifted],
-        dtype=np.int64,
-    )
-    primes = _primes(_num_primes_for(Lmax))
-    per_sel = {i: ([], []) for i, _sel in live}
-    for p, root in primes:
-        Vinv = _vand_inv(P, p)
-        inv2 = pow(2, p - 2, p)
-        inv2r = pow(2 * root % p, p - 2, p)
-        XP = _point_powers(P, ed, p)
-        vre = np.tensordot(Cre % p, XP, axes=([2], [1])) % p
-        vim = np.tensordot(Cim % p, XP, axes=([2], [1])) % p
-        stack = np.concatenate(
-            [
-                np.moveaxis((vre + root * vim) % p, 2, 0),
-                np.moveaxis((vre - root * vim) % p, 2, 0),
-            ]
-        )  # (2P, m, m): i -> +root then i -> -root
-        groups: dict[int, list] = {}
-        for i, (rows, cols) in live:
-            groups.setdefault(len(rows), []).append((i, rows, cols))
-        for k, items in groups.items():
-            subs = [
-                stack[:, rows, :][:, :, cols] for _i, rows, cols in items
-            ]
-            big = np.concatenate(subs)
-            chunk = max(1, 2_000_000 // max(k * k, 1))
-            dets = np.concatenate(
-                [
-                    _batch_det_mod(big[i : i + chunk], p)
-                    for i in range(0, len(big), chunk)
-                ]
+    blocks, direct = [], {}
+    for j, (_i, rows, cols) in enumerate(live):
+        rc = (block_of.get(rows), block_of.get(cols))
+        if None in rc:
+            direct.setdefault(len(rows), []).append(j)
+        else:
+            blocks.append((j, *rc))
+    coeffs = _gaussian_coeffs(shifted)
+
+    def evaluate(p, root, P):
+        stack = _evaluate(coeffs, P, p, root)
+        vals = np.empty((2 * P, len(live)), dtype=np.int64)
+        if blocks:
+            js, rs, cs = (list(x) for x in zip(*blocks))
+            vals[:, js] = _block_minors_mod(stack, p)[:, rs, cs]
+        for js in direct.values():
+            subs = np.concatenate(
+                [stack[:, list(live[j][1])][:, :, list(live[j][2])] for j in js]
             )
-            for pos, (i, _rows, _cols) in enumerate(items):
-                seg = dets[pos * 2 * P : (pos + 1) * 2 * P]
-                vplus, vminus = seg[:P], seg[P:]
-                per_sel[i][0].append(Vinv @ ((vplus + vminus) * inv2 % p) % p)
-                per_sel[i][1].append(Vinv @ ((vplus - vminus) * inv2r % p) % p)
-    plist = [p for p, _ in primes]
-    for i, (rows, _cols) in live:
-        relists, imlists = per_sel[i]
-        rterms, iterms = {}, {}
-        for d in range(P):
-            c = _crt_symmetric([int(a[d]) for a in relists], plist)
-            if c:
-                rterms[d] = c
-            c = _crt_symmetric([int(a[d]) for a in imlists], plist)
-            if c:
-                iterms[d] = c
-        corr = sum(shifts[r] for r in rows)
-        results[i] = GaussianLaurent(
-            LaurentPoly(rterms, var), LaurentPoly(iterms, var)
-        ).shift(corr)
+            vals[:, js] = _chunked_det(subs, p).reshape(len(js), 2 * P).T
+        return vals
+
+    for (i, rows, _cols), g in zip(live, _interpolate_gaussian(D, L, evaluate, var)):
+        results[i] = g.shift(sum(shifts[r] for r in rows))
     return results
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
-
-
-def det_laurent_many(mats, var="t"):
-    """Exact determinants of matrices over Z[t, t^-1]."""
-    gmats = [
-        [[GaussianLaurent.from_poly(e) for e in row] for row in mat]
-        for mat in mats
-    ]
-    out = []
-    for g in det_gaussian_many(gmats, var=var):
-        if not g.im.is_zero():
-            raise ArithmeticError("real determinant came out complex")
-        out.append(g.re)
-    return out
 
 
 def det_laurent2(mat):
@@ -460,21 +595,18 @@ def det_laurent2(mat):
         # vals[r, c, a, b] = sum_{i,j} C[r,c,i,j] * s_a^i * t_b^j
         v = np.tensordot(C, XT, axes=([3], [1])) % p  # (n, n, eds+1, Pt)
         v = np.tensordot(v, XS, axes=([2], [1])) % p  # (n, n, Pt, Ps)
-        stack = np.empty((Ps * Pt, n, n), dtype=np.int64)
-        for a in range(Ps):
-            for b in range(Pt):
-                stack[a * Pt + b] = v[:, :, b, a]
+        stack = v.transpose(3, 2, 0, 1).reshape(Ps * Pt, n, n)
         dets = _batch_det_mod(stack, p).reshape(Ps, Pt)
         Vsinv = _vand_inv(Ps, p)
         Vtinv = _vand_inv(Pt, p)
         grid = Vsinv @ dets % p
         grid = grid @ Vtinv.T % p
         grids.append(grid)
-    plist = [p for p, _ in primes]
-    terms = {}
-    for a in range(Ps):
-        for b in range(Pt):
-            c = _crt_symmetric([int(g[a, b]) for g in grids], plist)
-            if c:
-                terms[(a, b)] = c
+    coef = _crt_symmetric(grids, [p for p, _ in primes])
+    terms = {
+        (a, b): int(coef[a, b])
+        for a in range(Ps)
+        for b in range(Pt)
+        if coef[a, b]
+    }
     return LaurentPoly2(terms).shift(sshift, tshift)

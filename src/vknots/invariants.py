@@ -571,10 +571,6 @@ def _canonical_arrow(seq):
     return best
 
 
-def render_arrow(diagram):
-    return " ".join(f"{role}{lab}{'+' if s > 0 else '-'}" for role, lab, s in diagram)
-
-
 def arrow_expansion(code, max_arrows=None):
     """Sum over chord subsets of the dotted sub-diagrams (as canonical
     forms with integer coefficients).  The full expansion over an

@@ -127,12 +127,6 @@ class LaurentPoly:
     def l1_norm(self):
         return sum(abs(c) for c in self.terms.values())
 
-    def evaluate_int(self, x):
-        """Exact value at an integer point (requires min exponent >= 0)."""
-        if self.terms and min(self.terms) < 0:
-            raise ValueError("negative exponents; shift first")
-        return sum(c * x**e for e, c in self.terms.items())
-
     def exact_div(self, other):
         """Exact division; raises if the quotient is not in the ring."""
         if other.is_zero():

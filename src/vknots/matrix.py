@@ -82,11 +82,3 @@ def minor_matrix(mat, rows, cols):
         for r, row in enumerate(mat)
         if r not in rset
     ]
-
-
-def all_first_minors(mat):
-    """Iterate ((r, c), submatrix) over all codimension-1 minors."""
-    n = len(mat)
-    for r in range(n):
-        for c in range(n):
-            yield (r, c), minor_matrix(mat, [r], [c])

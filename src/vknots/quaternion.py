@@ -133,11 +133,6 @@ class Quaternion:
             LaurentPoly.const(z, var),
         )
 
-    @classmethod
-    def from_complex_pair(cls, z1, z2):
-        """Build z1 + z2 * j from two GaussianLaurent values."""
-        return cls(z1.re, z1.im, z2.re, z2.im)
-
     def complex_pair(self):
         return (
             GaussianLaurent(self.w, self.x),

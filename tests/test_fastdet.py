@@ -1,18 +1,38 @@
 """The modular/interpolation determinant engine against slow exact oracles."""
 
+import random
+
+import numpy as np
+import pytest
+
 from vknots.fastdet import (
+    _batch_det_mod,
+    _block_minors_mod,
     _is_prime,
     _primes,
     det_gaussian_many,
     det_gaussian_submatrices,
     det_laurent2,
-    det_laurent_many,
 )
 from vknots.laurent import LaurentPoly, LaurentPoly2
 from vknots.matrix import det_bareiss, det_cofactor
 from vknots.quaternion import GaussianLaurent
 
 from test_algebra import G_ONE, L_ONE, rand_gaussian, rand_lpoly, rand_lpoly2
+
+
+def det_laurent_many(mats, var="t"):
+    """Exact determinants of matrices over Z[t, t^-1]."""
+    gmats = [
+        [[GaussianLaurent.from_poly(e) for e in row] for row in mat]
+        for mat in mats
+    ]
+    out = []
+    for g in det_gaussian_many(gmats, var=var):
+        if not g.im.is_zero():
+            raise ArithmeticError("real determinant came out complex")
+        out.append(g.re)
+    return out
 
 
 def test_prime_generator():
@@ -66,6 +86,15 @@ def test_det_laurent2_large_coefficients():
     assert det_laurent2(m) == det_cofactor(m)
 
 
+def test_det_gaussian_submatrices_large_coefficients():
+    def g(a):
+        return GaussianLaurent.const(a)
+
+    m = [[g(10**20), g(1)], [g(2), g(3)]]
+    (d,) = det_gaussian_submatrices(m, [((0, 1), (0, 1))])
+    assert d == g(3 * 10**20 - 2)
+
+
 def test_det_gaussian_submatrices_matches_per_minor(rng):
     for n in (3, 4, 5):
         m = [[rand_gaussian(rng) for _ in range(n)] for _ in range(n)]
@@ -75,6 +104,24 @@ def test_det_gaussian_submatrices_matches_per_minor(rng):
                 rows = tuple(x for x in range(n) if x != i)
                 cols = tuple(y for y in range(n) if y != j)
                 selections.append((rows, cols))
+        fast = det_gaussian_submatrices(m, selections)
+        for (rows, cols), d in zip(selections, fast):
+            sub = [[m[r][c] for c in cols] for r in rows]
+            assert d == det_bareiss(sub, G_ONE)
+
+
+def test_det_gaussian_submatrices_block_deletions(rng):
+    # deleting one 2 x 2 block row and column: the Gauss-Jordan path
+    for n in (2, 4, 6):
+        m = [[rand_gaussian(rng) for _ in range(n)] for _ in range(n)]
+        selections = [
+            (
+                tuple(x for x in range(n) if x // 2 != i),
+                tuple(y for y in range(n) if y // 2 != j),
+            )
+            for i in range(n // 2)
+            for j in range(n // 2)
+        ]
         fast = det_gaussian_submatrices(m, selections)
         for (rows, cols), d in zip(selections, fast):
             sub = [[m[r][c] for c in cols] for r in rows]
@@ -93,3 +140,37 @@ def test_det_gaussian_submatrices_mixed_sizes(rng):
     for (rows, cols), d in zip(selections, fast):
         sub = [[m[r][c] for c in cols] for r in rows]
         assert d == det_bareiss(sub, G_ONE)
+
+
+def _matrix_of_rank(rng, n, rank, p):
+    """A random n x n matrix mod p that is a product of n x rank and
+    rank x n factors: of that rank for all but a negligible share of draws."""
+    x = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(n)],
+                 dtype=np.int64).reshape(n, rank)
+    y = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(rank)],
+                 dtype=np.int64).reshape(rank, n)
+    out = np.zeros((n, n), dtype=np.int64)
+    for k in range(rank):
+        out = (out + x[:, k, None] * y[None, k, :]) % p
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_block_minors_mod_matches_per_minor_elimination(n):
+    rng = random.Random(7000 + n)
+    p, _root = _primes(1)[0]
+    m = n // 2
+    mats = [
+        _matrix_of_rank(rng, n, rank, p)
+        for rank in range(max(n - 4, 0), n + 1)
+        for _ in range(3)
+    ]
+    stack = np.stack(mats)
+    fast = _block_minors_mod(stack, p)
+    for b, a in enumerate(mats):
+        for r in range(m):
+            for c in range(m):
+                rows = [i for i in range(n) if i // 2 != r]
+                cols = [j for j in range(n) if j // 2 != c]
+                sub = a[np.ix_(rows, cols)][None]
+                assert fast[b, r, c] == _batch_det_mod(sub, p)[0], (n, b, r, c)

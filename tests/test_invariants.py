@@ -3,21 +3,28 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from vknots.gausscode import canonicalize, parse_gauss
+from vknots.catalog import builtin_entries
+from vknots.fastdet import det_gaussian_many
+from vknots.gausscode import canonicalize, edge_structure, parse_gauss
 from vknots.invariants import (
     arrow_expansion,
     atom_congruence_ok,
     atom_profile,
     bracket,
     bracket_congruence,
+    codim1_gcd,
     f_polynomial,
     gen_alexander,
     jones_t_form,
     loop_count,
     quaternionic_invariant,
+    quaternionic_matrix,
     writhe,
 )
-from vknots.laurent import LaurentPoly, LaurentPoly2, normalize_unit
+from vknots.laurent import LaurentPoly, LaurentPoly2, normalize_unit, poly_gcd
+from vknots.matrix import det_bareiss, minor_matrix
+from vknots.moves import random_walk
+from vknots.quaternion import GaussianLaurent, double_matrix
 
 from conftest import random_code, small_codes
 
@@ -137,6 +144,71 @@ def test_quaternionic_kishino():
     study, gcd = quaternionic_invariant(parse_gauss(KISHINO))
     assert study.is_zero()
     assert gcd.render() == "2 + 5*t^2 + 2*t^4"
+
+
+def _block_minors(qmat):
+    """Every codimension-1 minor of the complex doubling, as a matrix."""
+    m = len(qmat)
+    dbl = double_matrix(qmat)
+    return [
+        minor_matrix(dbl, (2 * r, 2 * r + 1), (2 * c, 2 * c + 1))
+        for r in range(m)
+        for c in range(m)
+    ]
+
+
+def _fold_gcd(dets):
+    g = LaurentPoly({})
+    for d in dets:
+        assert d.im.is_zero()
+        g = poly_gcd(g, d.re)
+    return g
+
+
+def _sweep_codim1_gcd(qmat):
+    """The minor sweep codim1_gcd replaced: one elimination per minor."""
+    return _fold_gcd(det_gaussian_many(_block_minors(qmat)))
+
+
+def _bareiss_codim1_gcd(qmat):
+    one = GaussianLaurent(LaurentPoly({0: 1}), LaurentPoly({}))
+    return _fold_gcd(det_bareiss(sub, one) for sub in _block_minors(qmat))
+
+
+def _quaternionic_codes(max_crossings, walks, seed):
+    """Catalog codes and random-walk codes with at most max_crossings
+    crossings, each with crossings and without free circles."""
+    rng = random.Random(seed)
+    codes = [e.code for e in builtin_entries()]
+    for _ in range(walks):
+        start = random_code(rng, rng.randint(1, max_crossings))
+        codes += random_walk(
+            start, 3, seed=rng.randrange(10**6), max_crossings=max_crossings
+        )[1:]
+    return [
+        c
+        for c in codes
+        if c.labels
+        and c.n_crossings <= max_crossings
+        and edge_structure(c).free_circles == 0
+    ]
+
+
+def test_codim1_gcd_matches_per_minor_sweep():
+    codes = _quaternionic_codes(6, 6, seed=31)
+    study_zero = 0
+    for code in codes:
+        qmat = quaternionic_matrix(code)
+        assert codim1_gcd(qmat) == _sweep_codim1_gcd(qmat), code
+        study_zero += quaternionic_invariant(code)[0].is_zero()
+    # both the full-rank and the rank-deficient rules are exercised
+    assert 0 < study_zero < len(codes)
+
+
+def test_codim1_gcd_matches_bareiss_sweep():
+    for code in _quaternionic_codes(4, 4, seed=32):
+        qmat = quaternionic_matrix(code)
+        assert codim1_gcd(qmat) == _bareiss_codim1_gcd(qmat), code
 
 
 def test_quaternionic_two_free_circles():
