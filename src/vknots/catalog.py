@@ -33,7 +33,6 @@ from .gausscode import (
     inter_component_parity,
     parse_gauss,
     realizability_check,
-    validate_code,
 )
 from .laurent import LaurentPoly, LaurentPoly2, normalize_unit
 
@@ -165,11 +164,9 @@ _G_VTREF = normalize_unit(
 
 
 def _entry(name, text, note, assertions):
-    code = parse_gauss(text)
-    problems = validate_code(code)
-    if problems:
-        raise GaussCodeError(f"catalog entry {name!r} is invalid: {problems}")
-    return CatalogEntry(name=name, code=code, note=note, assertions=tuple(assertions))
+    return CatalogEntry(
+        name=name, code=parse_gauss(text), note=note, assertions=tuple(assertions)
+    )
 
 
 def builtin_entries():
@@ -312,12 +309,12 @@ def load_catalog(path=None):
                     raise GaussCodeError(
                         f"{path}:{lineno}: duplicate catalog name {name!r}"
                     )
-                code = parse_gauss(text.strip())
-                problems = validate_code(code)
-                if problems:
+                try:
+                    code = parse_gauss(text.strip())
+                except GaussCodeError as exc:
                     raise GaussCodeError(
-                        f"{path}:{lineno}: invalid code for {name!r}: {problems}"
-                    )
+                        f"{path}:{lineno}: invalid code for {name!r}: {exc}"
+                    ) from None
                 names.add(name)
                 entries.append(
                     CatalogEntry(name=name, code=code, note=f"user entry ({path})")

@@ -24,7 +24,6 @@ from .gausscode import (
     parse_gauss,
     realizability_check,
     render_gauss,
-    validate_code,
 )
 from .invariants import bracket_congruence, f_polynomial, gen_alexander, \
     quaternionic_invariant
@@ -60,19 +59,14 @@ def _resolve_code(args):
     if getattr(args, "code", None) and getattr(args, "name", None):
         raise InputError("give either --code or --name, not both")
     if getattr(args, "code", None):
-        code = parse_gauss(args.code)
-    elif getattr(args, "name", None):
-        entries = catalog_by_name(getattr(args, "catalog_file", None))
-        if args.name not in entries:
-            known = ", ".join(sorted(entries))
-            raise InputError(f"unknown catalog name {args.name!r} (have: {known})")
-        code = entries[args.name].code
-    else:
+        return parse_gauss(args.code)
+    if not getattr(args, "name", None):
         raise InputError("one of --code or --name is required")
-    problems = validate_code(code)
-    if problems:
-        raise InputError(f"invalid code: {'; '.join(str(p) for p in problems)}")
-    return code
+    entries = catalog_by_name(getattr(args, "catalog_file", None))
+    if args.name not in entries:
+        known = ", ".join(sorted(entries))
+        raise InputError(f"unknown catalog name {args.name!r} (have: {known})")
+    return entries[args.name].code
 
 
 def _selected_flags(args):

@@ -281,45 +281,45 @@ def make_dihedral_quandle(n):
 
 # --- coloring counts ------------------------------------------------------
 #
-# Both counters run the same budgeted backtracking search: variables are
-# edge (or arc) labels, constraints are the crossing relations.  After
-# every tentative assignment, constraint propagation forces every value
-# determined by a crossing whose other inputs are known; branching happens
-# only when no value is forced.
+# Both counters build a list of relations ``(out, a, b, table)``, each
+# meaning label[out] = table[label[a]][label[b]], and hand it to one
+# budgeted backtracking search.  Every label keeps a watch list of the
+# relations that take it as an input.  Assigning a label follows only that
+# label's watch list: a relation whose inputs are both known forces its
+# output (or fails on a different known output), and a newly forced label
+# is followed in turn, until a fixed point or a contradiction.  Outputs
+# need no watching: an output with both inputs known is already forced.
+# The search branches on the first unassigned label only when nothing is
+# forced.  Biquandle counts label edges (two relations per crossing, from
+# the crossing sign's tables); IQ counts label arcs (one per crossing).
 
 
-def _search_count(n_vars, q, constraints, var_constraints, budget):
-    """Count assignments of {0..q-1} to n_vars satisfying all constraints.
-
-    Each constraint is a callable taking the assignment list (entries may
-    be None) and returning ``False`` (violated), ``True`` (satisfied or
-    undetermined), or ``("force", var, value)`` to propagate a forced
-    value.  var_constraints[v] lists constraint indices mentioning v.
-    """
+def _count_labelings(n_vars, q, relations):
+    """Number of maps {0..n_vars-1} -> {0..q-1} satisfying every relation."""
+    budget = _color_budget()
+    watch = [[] for _ in range(n_vars)]
+    for rel in relations:
+        for var in set(rel[1:3]):
+            watch[var].append(rel)
     assign = [None] * n_vars
     nodes = 0
 
-    def propagate(trail):
-        queue = list(range(len(constraints)))
-        while queue:
-            ci = queue.pop()
-            res = constraints[ci](assign)
-            if res is False:
-                return False
-            if res is True:
-                continue
-            _tag, var, value = res
-            if assign[var] is None:
-                assign[var] = value
-                trail.append(var)
-                queue.extend(var_constraints[var])
-            elif assign[var] != value:
-                return False
+    def propagate(var, trail):
+        stack = [var]
+        while stack:
+            for out, a, b, table in watch[stack.pop()]:
+                x, y = assign[a], assign[b]
+                if x is None or y is None:
+                    continue
+                want = table[x][y]
+                got = assign[out]
+                if got is None:
+                    assign[out] = want
+                    trail.append(out)
+                    stack.append(out)
+                elif got != want:
+                    return False
         return True
-
-    def undo(trail):
-        for var in trail:
-            assign[var] = None
 
     def recurse():
         nonlocal nodes
@@ -336,37 +336,14 @@ def _search_count(n_vars, q, constraints, var_constraints, budget):
         total = 0
         for value in range(q):
             assign[var] = value
-            trail = []
-            if propagate(trail):
+            trail = [var]
+            if propagate(var, trail):
                 total += recurse()
-            undo(trail)
-            assign[var] = None
+            for v in trail:
+                assign[v] = None
         return total
 
-    trail = []
-    if not propagate(trail):
-        return 0
-    forced = [v for v in range(n_vars) if assign[v] is not None]
-    result = recurse()
-    for var in forced:
-        assign[var] = None
-    return result
-
-
-def _relation_constraint(out_var, in1, in2, table):
-    """Constraint: assign[out_var] == table[assign[in1]][assign[in2]]."""
-
-    def check(assign):
-        a, b = assign[in1], assign[in2]
-        if a is None or b is None:
-            return True
-        want = table[a][b]
-        got = assign[out_var]
-        if got is None:
-            return ("force", out_var, want)
-        return got == want
-
-    return check
+    return recurse()
 
 
 def count_biquandle_colorings(code, bq):
@@ -377,24 +354,16 @@ def count_biquandle_colorings(code, bq):
     Every free circle contributes a factor of n (one unconstrained label).
     """
     struct = edge_structure(code)
-    n_edges = len(struct.edges)
-    constraints = []
-    var_constraints = [[] for _ in range(n_edges)]
+    relations = []
     for label in sorted(struct.crossing_edges):
         o_in, o_out, u_in, u_out = struct.crossing_edges[label]
         if code.sign_of(label) > 0:
             up_table, down_table = bq.up, bq.down
         else:
             up_table, down_table = bq.upbar, bq.downbar
-        for con in (
-            _relation_constraint(u_out, u_in, o_in, up_table),
-            _relation_constraint(o_out, o_in, u_in, down_table),
-        ):
-            ci = len(constraints)
-            constraints.append(con)
-            for var in (o_in, o_out, u_in, u_out):
-                var_constraints[var].append(ci)
-    count = _search_count(n_edges, bq.n, constraints, var_constraints, _color_budget())
+        relations.append((u_out, u_in, o_in, up_table))
+        relations.append((o_out, o_in, u_in, down_table))
+    count = _count_labelings(len(struct.edges), bq.n, relations)
     return count * bq.n**struct.free_circles
 
 
@@ -408,18 +377,11 @@ def count_iq_colorings(code, q):
     if not q.involutory:
         raise ValueError("IQ coloring requires an involutory quandle")
     struct = edge_structure(code)
-    n_arcs = len(struct.arcs)
-    constraints = []
+    relations = []
     for label in sorted(struct.crossing_arcs):
         over_arc, under_in, under_out = struct.crossing_arcs[label]
-        constraints.append(
-            _relation_constraint(under_out, under_in, over_arc, q.table)
-        )
-    var_constraints = [[] for _ in range(n_arcs)]
-    for ci, label in enumerate(sorted(struct.crossing_arcs)):
-        for var in struct.crossing_arcs[label]:
-            var_constraints[var].append(ci)
-    count = _search_count(n_arcs, q.n, constraints, var_constraints, _color_budget())
+        relations.append((under_out, under_in, over_arc, q.table))
+    count = _count_labelings(len(struct.arcs), q.n, relations)
     return count * q.n**struct.free_circles
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import NamedTuple
 
 
@@ -68,20 +68,6 @@ class LinkGaussCode:
                 if e.label == label:
                     return e.sign
         raise GaussCodeError(f"unknown label {label}")
-
-    def entry_positions(self, label):
-        """((comp, pos) of the Over entry, (comp, pos) of the Under entry)."""
-        over = under = None
-        for ci, comp in enumerate(self.components):
-            for pi, e in enumerate(comp):
-                if e.label == label:
-                    if e.passage == "O":
-                        over = (ci, pi)
-                    else:
-                        under = (ci, pi)
-        if over is None or under is None:
-            raise GaussCodeError(f"label {label} lacks a partner")
-        return over, under
 
 
 _TOKEN = re.compile(r"\s+|\(\)|/|[OU](?:[1-9][0-9]*)[+-]|.", re.DOTALL)
@@ -191,7 +177,7 @@ def canonicalize(code):
     nonempty = [c for c in comps if c]
     best = None
     for order in permutations(range(len(nonempty))):
-        for rotations in _rotation_product([len(nonempty[i]) for i in order]):
+        for rotations in product(*(range(len(nonempty[i])) for i in order)):
             seqs = []
             for oi, rot in zip(order, rotations):
                 c = nonempty[oi]
@@ -206,15 +192,6 @@ def canonicalize(code):
                 tuple(GaussEntry(p, lbl, s) for (p, lbl, s) in comp)
             )
     return LinkGaussCode(new_components)
-
-
-def _rotation_product(lengths):
-    if not lengths:
-        yield ()
-        return
-    for r in range(lengths[0]):
-        for rest in _rotation_product(lengths[1:]):
-            yield (r,) + rest
 
 
 def canonical_key(code):
@@ -348,6 +325,31 @@ def edge_structure(code):
     )
 
 
+def diagram_pieces(code):
+    """Crossing labels grouped into the connected pieces of the diagram.
+
+    Two components lie in one piece when they share a crossing.  Free
+    circles carry no labels and belong to no piece.  Each piece is a
+    sorted tuple of labels; pieces come in order of their smallest label.
+    """
+    labels = code.labels
+    parent = {l: l for l in labels}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for comp in code.components:
+        for a, b in zip(comp, comp[1:]):
+            parent[find(a.label)] = find(b.label)
+    pieces = {}
+    for l in labels:
+        pieces.setdefault(find(l), []).append(l)
+    return [tuple(piece) for piece in pieces.values()]
+
+
 # --- realizability -------------------------------------------------------
 #
 # A signed oriented Gauss code determines an abstract 4-valent graph with
@@ -385,54 +387,22 @@ def realizability_check(code):
             end_of_slot[slot] = end
     # darts: (edge, +1) runs tail->head, (edge, -1) runs head->tail
     unused = {(e, d) for e in range(len(es.edges)) for d in (1, -1)}
-    faces = {}  # label-connectivity handled after counting per component
-    nfaces_per_label_component = None
-    # trace all faces
-    face_count = 0
-    face_labels = []  # set of crossing labels touched by each face
+    pieces = diagram_pieces(code)
+    piece_of = {l: i for i, piece in enumerate(pieces) for l in piece}
+    faces_per_piece = [0] * len(pieces)
     while unused:
         dart = next(iter(unused))
-        touched = set()
         while dart in unused:
             unused.discard(dart)
             edge, direction = dart
             arrive = ("head", edge) if direction == 1 else ("tail", edge)
             label, k = slot_of_end[arrive]
-            touched.add(label)
-            nxt = (label, (k + 1) % 4)
-            kind, e2 = end_of_slot[nxt]
+            kind, e2 = end_of_slot[(label, (k + 1) % 4)]
             dart = (e2, 1) if kind == "tail" else (e2, -1)
-        face_count += 1
-        face_labels.append(touched)
-    # connected pieces of the diagram: crossings linked through components
-    parent = {l: l for l in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for comp in code.components:
-        for a, b in zip(comp, comp[1:]):
-            union(a.label, b.label)
-    pieces = {}
-    for l in labels:
-        pieces.setdefault(find(l), set()).add(l)
-    # per piece: V = crossings, E = 2V (each crossing has 4 ends, each edge 2)
-    faces_per_piece = {root: 0 for root in pieces}
-    for touched in face_labels:
-        root = find(next(iter(touched)))
-        faces_per_piece[root] += 1
-    for root, labs in pieces.items():
-        V = len(labs)
-        E = 2 * V
-        F = faces_per_piece[root]
-        if V - E + F != 2:
-            return False
-    return True
+        # a face never leaves the piece of the crossings it touches
+        faces_per_piece[piece_of[label]] += 1
+    # per piece: V = crossings, E = 2V (each crossing has 4 ends, each edge
+    # 2), so the Euler characteristic V - E + F is F - V
+    return all(
+        faces - len(piece) == 2 for piece, faces in zip(pieces, faces_per_piece)
+    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fastdet import det_gaussian_many, det_gaussian_submatrices, det_laurent2
-from .gausscode import edge_structure
+from .gausscode import diagram_pieces, edge_structure
 from .laurent import (
     LaurentPoly,
     LaurentPoly2,
@@ -49,32 +49,7 @@ def _crossing_end_pairs(ce, oriented):
 
 def loop_count(code, state):
     """Number of loops after smoothing every crossing per the state."""
-    es = edge_structure(code)
-    nends = 2 * len(es.edges)
-    parent = list(range(nends))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = nends
-
-    def union(a, b):
-        nonlocal count
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-
-    for e in range(len(es.edges)):
-        union(2 * e, 2 * e + 1)
-    for label, ce in es.crossing_edges.items():
-        ori = _oriented(code.sign_of(label), state[label])
-        for a, b in _crossing_end_pairs(ce, ori):
-            union(a, b)
-    return count + es.free_circles if es.edges else es.free_circles
+    return len(_traced_loops(code, state)[0]) + edge_structure(code).free_circles
 
 
 def writhe(code):
@@ -390,17 +365,17 @@ class AtomProfile:
     b_loops: int
 
 
-def _traced_loops(code, smoothing):
-    """Loops of the all-A or all-B state as edge traversals.
+def _traced_loops(code, state):
+    """Loops of a state (label -> "A" or "B") as edge traversals.
 
     Returns (loops, cell_of_edge, dir_of_edge): each loop is a tuple of
     edge ids; dir_of_edge[e] is +1 when the loop runs along the edge's own
-    orientation and -1 otherwise.
+    orientation and -1 otherwise.  Free circles are not traced.
     """
     es = edge_structure(code)
     match = {}
     for label, ce in es.crossing_edges.items():
-        ori = _oriented(code.sign_of(label), smoothing)
+        ori = _oriented(code.sign_of(label), state[label])
         for a, b in _crossing_end_pairs(ce, ori):
             match[a] = b
             match[b] = a
@@ -437,8 +412,8 @@ def atom_profile(code):
     are spheres).
     """
     es = edge_structure(code)
-    a_loops_l, a_cell, a_dir = _traced_loops(code, "A")
-    b_loops_l, b_cell, b_dir = _traced_loops(code, "B")
+    a_loops_l, a_cell, a_dir = _traced_loops(code, dict.fromkeys(code.labels, "A"))
+    b_loops_l, b_cell, b_dir = _traced_loops(code, dict.fromkeys(code.labels, "B"))
     a_loops = len(a_loops_l) + es.free_circles
     b_loops = len(b_loops_l) + es.free_circles
 
@@ -478,47 +453,19 @@ def atom_profile(code):
                     orientable = False
 
     # genus per connected piece of the diagram
-    piece_of_label = _diagram_pieces(code)
     genus = 0
-    if code.labels:
-        pieces = set(piece_of_label.values())
-        for p in pieces:
-            labels = [l for l, q in piece_of_label.items() if q == p]
-            n = len(labels)
-            lbl_set = set(labels)
-            crossing_edges = es.crossing_edges
-            piece_edges = {
-                e
-                for l in labels
-                for e in crossing_edges[l]
-            }
-            fa = len({a_cell[e] for e in piece_edges})
-            fb = len({b_cell[e] for e in piece_edges})
-            chi = n - 2 * n + fa + fb
-            e0 = next(iter(piece_edges))
-            piece_orientable = group_orientable[cellgroup[a_cell[e0]]]
-            genus += (2 - chi) // 2 if piece_orientable else 2 - chi
+    for piece in diagram_pieces(code):
+        n = len(piece)
+        piece_edges = {e for l in piece for e in es.crossing_edges[l]}
+        fa = len({a_cell[e] for e in piece_edges})
+        fb = len({b_cell[e] for e in piece_edges})
+        chi = n - 2 * n + fa + fb
+        e0 = next(iter(piece_edges))
+        piece_orientable = group_orientable[cellgroup[a_cell[e0]]]
+        genus += (2 - chi) // 2 if piece_orientable else 2 - chi
     return AtomProfile(
         genus=genus, orientable=orientable, a_loops=a_loops, b_loops=b_loops
     )
-
-
-def _diagram_pieces(code):
-    labels = code.labels
-    parent = {l: l for l in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for comp in code.components:
-        for a, b in zip(comp, comp[1:]):
-            ra, rb = find(a.label), find(b.label)
-            if ra != rb:
-                parent[ra] = rb
-    return {l: find(l) for l in labels}
 
 
 def bracket_congruence(code):

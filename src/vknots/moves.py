@@ -43,6 +43,17 @@ def _insert(comp, slot, entries):
     return tuple(c[:slot] + list(entries) + c[slot:])
 
 
+def _adjacent_pairs(code):
+    """(ci, p, q, comp[p], comp[q]) for cyclically adjacent entries
+    q = p + 1 mod k of each component; a 2-entry component has one such
+    pair, not two, and shorter components have none."""
+    for ci, comp in enumerate(code.components):
+        k = len(comp)
+        for p in range(k if k > 2 else k // 2):
+            q = (p + 1) % k
+            yield ci, p, q, comp[p], comp[q]
+
+
 def enumerate_sites(code, kind):
     if kind == "R1Add":
         return _sites_r1_add(code)
@@ -118,16 +129,11 @@ def _sites_r1_add(code):
 
 
 def _sites_r1_remove(code):
-    out = []
-    for ci, comp in enumerate(code.components):
-        k = len(comp)
-        if k < 2:
-            continue
-        limit = 1 if k == 2 else k  # a 2-entry component has one kink, not two
-        for p in range(limit):
-            if comp[p].label == comp[(p + 1) % k].label:
-                out.append(MoveSite("R1Remove", (ci, p)))
-    return out
+    return [
+        MoveSite("R1Remove", (ci, p))
+        for ci, p, _q, x, y in _adjacent_pairs(code)
+        if x.label == y.label
+    ]
 
 
 # --- R2 -------------------------------------------------------------------
@@ -190,31 +196,19 @@ def _sites_r2_remove(code):
     # locate the adjacent Over pair; the Under partners must also be
     # adjacent (in either order) and the signs opposite.
     under_adj = {}
-    for ci, comp in enumerate(code.components):
-        k = len(comp)
-        for p in range(k if k > 1 else 0):
-            q = (p + 1) % k
-            if k == 2 and p == 1:
-                break
-            x, y = comp[p], comp[q]
-            if x.passage == "U" and y.passage == "U" and x.label != y.label:
-                under_adj[frozenset((x.label, y.label))] = (ci, p, q)
-    for ci, comp in enumerate(code.components):
-        k = len(comp)
-        for p in range(k if k > 1 else 0):
-            q = (p + 1) % k
-            if k == 2 and p == 1:
-                break
-            x, y = comp[p], comp[q]
-            if (
-                x.passage == "O"
-                and y.passage == "O"
-                and x.label != y.label
-                and x.sign == -y.sign
-            ):
-                hit = under_adj.get(frozenset((x.label, y.label)))
-                if hit is not None:
-                    out.append(MoveSite("R2Remove", ((ci, p, q), hit)))
+    for ci, p, q, x, y in _adjacent_pairs(code):
+        if x.passage == "U" and y.passage == "U" and x.label != y.label:
+            under_adj[frozenset((x.label, y.label))] = (ci, p, q)
+    for ci, p, q, x, y in _adjacent_pairs(code):
+        if (
+            x.passage == "O"
+            and y.passage == "O"
+            and x.label != y.label
+            and x.sign == -y.sign
+        ):
+            hit = under_adj.get(frozenset((x.label, y.label)))
+            if hit is not None:
+                out.append(MoveSite("R2Remove", ((ci, p, q), hit)))
     return out
 
 
@@ -261,17 +255,9 @@ def _det2(u, v):
 
 def _sites_r3(code):
     # gather adjacent distinct-label pairs
-    pairs = []
-    for ci, comp in enumerate(code.components):
-        k = len(comp)
-        if k < 2:
-            continue
-        for p in range(k):
-            q = (p + 1) % k
-            if k == 2 and p == 1:
-                break
-            if comp[p].label != comp[q].label:
-                pairs.append((ci, p, q))
+    pairs = [
+        (ci, p, q) for ci, p, q, x, y in _adjacent_pairs(code) if x.label != y.label
+    ]
     out = []
     for trio in combinations(pairs, 3):
         positions = set()
@@ -378,22 +364,11 @@ def _scaled_dir(line, orient):
 
 
 def _sites_forbidden(code):
-    out = []
-    for ci, comp in enumerate(code.components):
-        k = len(comp)
-        if k < 2:
-            continue
-        for p in range(k):
-            q = (p + 1) % k
-            if k == 2 and p == 1:
-                break
-            if (
-                comp[p].passage == "O"
-                and comp[q].passage == "O"
-                and comp[p].label != comp[q].label
-            ):
-                out.append(MoveSite("ForbiddenOver", (ci, p)))
-    return out
+    return [
+        MoveSite("ForbiddenOver", (ci, p))
+        for ci, p, _q, x, y in _adjacent_pairs(code)
+        if x.passage == "O" and y.passage == "O" and x.label != y.label
+    ]
 
 
 # --- crossing transforms --------------------------------------------------

@@ -42,6 +42,23 @@ def random_code(rng, n):
     return code
 
 
+def catalog_and_walk_codes(max_crossings, walks, seed, steps=3):
+    """Catalog codes, then the codes visited by `walks` random move walks
+    of `steps` steps from random codes, all with at most max_crossings
+    crossings."""
+    from vknots.catalog import builtin_entries
+    from vknots.moves import random_walk
+
+    rng = random.Random(seed)
+    codes = [e.code for e in builtin_entries()]
+    for _ in range(walks):
+        start = random_code(rng, rng.randint(1, max_crossings))
+        codes += random_walk(
+            start, steps, seed=rng.randrange(10**6), max_crossings=max_crossings
+        )[1:]
+    return [c for c in codes if c.n_crossings <= max_crossings]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240601)

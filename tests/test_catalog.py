@@ -67,3 +67,13 @@ def test_load_catalog_invalid_code(tmp_path):
     path.write_text("oops\tO1+U1-\n", encoding="utf-8")
     with pytest.raises(GaussCodeError):
         load_catalog(str(path))
+
+
+def test_load_catalog_invalid_code_names_its_location(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("# comment\nbad\tO1+U2+\n", encoding="utf-8")
+    with pytest.raises(GaussCodeError) as exc:
+        load_catalog(str(path))
+    assert str(exc.value) == (
+        f"{path}:2: invalid code for 'bad': MissingPartner(1); MissingPartner(2)"
+    )

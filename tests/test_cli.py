@@ -196,6 +196,14 @@ def test_catalog_check_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def test_catalog_user_file_invalid_code_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("bad\tO1+U2+\n", encoding="utf-8")
+    rc, _, err = run(capsys, "catalog", "--file", str(path))
+    assert rc == 2
+    assert f"error: {path}:1: invalid code for 'bad': MissingPartner(1)" in err
+
+
 def test_catalog_user_file_duplicate_exit_2(capsys, tmp_path):
     path = tmp_path / "dup.tsv"
     path.write_text("trefoil\tO1+U1+\n", encoding="utf-8")

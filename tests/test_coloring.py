@@ -17,9 +17,9 @@ from vknots.coloring import (
     make_alexander_biquandle_modp,
     make_dihedral_quandle,
 )
-from vknots.gausscode import GaussCodeError, parse_gauss
+from vknots.gausscode import GaussCodeError, edge_structure, parse_gauss
 
-from conftest import random_code
+from conftest import catalog_and_walk_codes, random_code
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREF = "O1+O2+U1+U2+"
@@ -169,6 +169,127 @@ def test_budget_env_must_be_integer(monkeypatch):
     bq = make_alexander_biquandle_modp(3, 1, 1)
     with pytest.raises(ValueError):
         count_biquandle_colorings(parse_gauss("()"), bq)
+
+
+# --- differential test against the closure-based search -------------------------
+#
+# The search the relation-table counter replaced: constraints are closures
+# returning False, True or ("force", var, value), and every assignment
+# re-runs every constraint.  It returns (count, search nodes); the node
+# count is the smallest VKNOTS_COLOR_BUDGET under which it passes.
+
+
+def _closure_search_count(n_vars, q, constraints, var_constraints):
+    assign = [None] * n_vars
+    nodes = 0
+
+    def propagate(trail):
+        queue = list(range(len(constraints)))
+        while queue:
+            ci = queue.pop()
+            res = constraints[ci](assign)
+            if res is False:
+                return False
+            if res is True:
+                continue
+            _tag, var, value = res
+            if assign[var] is None:
+                assign[var] = value
+                trail.append(var)
+                queue.extend(var_constraints[var])
+            elif assign[var] != value:
+                return False
+        return True
+
+    def recurse():
+        nonlocal nodes
+        nodes += 1
+        try:
+            var = assign.index(None)
+        except ValueError:
+            return 1
+        total = 0
+        for value in range(q):
+            assign[var] = value
+            trail = []
+            if propagate(trail):
+                total += recurse()
+            for v in trail:
+                assign[v] = None
+            assign[var] = None
+        return total
+
+    if not propagate([]):
+        return 0, nodes
+    return recurse(), nodes
+
+
+def _closure_relation(out_var, in1, in2, table):
+    def check(assign):
+        a, b = assign[in1], assign[in2]
+        if a is None or b is None:
+            return True
+        want = table[a][b]
+        got = assign[out_var]
+        if got is None:
+            return ("force", out_var, want)
+        return got == want
+
+    return check
+
+
+def _closure_count(code, struct):
+    """(count, smallest passing budget) from the closure-based search."""
+    es = edge_structure(code)
+    if isinstance(struct, FiniteQuandle):
+        n_vars = len(es.arcs)
+        rels = [
+            (u_out, u_in, over, struct.table)
+            for label, (over, u_in, u_out) in sorted(es.crossing_arcs.items())
+        ]
+    else:
+        n_vars = len(es.edges)
+        rels = []
+        for label, (o_in, o_out, u_in, u_out) in sorted(es.crossing_edges.items()):
+            pos = code.sign_of(label) > 0
+            rels.append((u_out, u_in, o_in, struct.up if pos else struct.upbar))
+            rels.append((o_out, o_in, u_in, struct.down if pos else struct.downbar))
+    constraints = [_closure_relation(*rel) for rel in rels]
+    var_constraints = [[] for _ in range(n_vars)]
+    for ci, rel in enumerate(rels):
+        for var in set(rel[:3]):
+            var_constraints[var].append(ci)
+    count, nodes = _closure_search_count(n_vars, struct.n, constraints, var_constraints)
+    return count * struct.n**es.free_circles, nodes
+
+
+DIFFERENTIAL_STRUCTURES = [
+    make_dihedral_quandle(3),
+    make_dihedral_quandle(4),
+    make_dihedral_quandle(5),
+    make_dihedral_quandle(6),
+    make_alexander_biquandle_modp(5, 2, 3),
+    make_alexander_biquandle_modp(7, 3, 2),
+    make_alexander_biquandle_modp(3, 1, 2),
+]
+
+
+def test_counts_and_budgets_match_closure_search(monkeypatch):
+    codes = catalog_and_walk_codes(6, 20, seed=51)
+    assert max(c.n_crossings for c in codes) == 6
+    for code in codes:
+        for struct in DIFFERENTIAL_STRUCTURES:
+            counter = (
+                count_iq_colorings
+                if isinstance(struct, FiniteQuandle)
+                else count_biquandle_colorings
+            )
+            want, nodes = _closure_count(code, struct)
+            monkeypatch.setenv(BUDGET_ENV_VAR, str(nodes))
+            assert counter(code, struct) == want, (code, struct.name)
+            monkeypatch.setenv(BUDGET_ENV_VAR, str(nodes - 1))
+            with pytest.raises(ColoringBudgetError):
+                counter(code, struct)
 
 
 # --- table files ------------------------------------------------------------------

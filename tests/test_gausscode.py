@@ -8,6 +8,7 @@ from vknots.gausscode import (
     GaussCodeError,
     canonical_key,
     canonicalize,
+    diagram_pieces,
     edge_structure,
     flat_projection,
     inter_component_parity,
@@ -212,6 +213,19 @@ def test_edges_conserved(rng):
 )
 def test_realizability_known(text, expected):
     assert realizability_check(parse_gauss(text)) == expected
+
+
+def test_diagram_pieces_split_link_and_free_circle():
+    split = parse_gauss(TREFOIL + "/O4-U5-/U4-O5-/O6+U6+")
+    assert diagram_pieces(split) == [(1, 2, 3), (4, 5), (6,)]
+    assert diagram_pieces(parse_gauss(HOPF + "/()")) == [(1, 2)]
+    assert diagram_pieces(parse_gauss("()")) == []
+
+
+def test_realizability_per_piece():
+    # Euler's formula must hold on every piece, not on the diagram as a whole
+    assert realizability_check(parse_gauss(TREFOIL + "/O4-U5-/U4-O5-/()"))
+    assert not realizability_check(parse_gauss(TREFOIL + "/O4+O5+U4+U5+"))
 
 
 def test_realizability_canonical_invariant(rng):

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from vknots.catalog import builtin_entries
 from vknots.fastdet import det_gaussian_many
 from vknots.gausscode import canonicalize, edge_structure, parse_gauss
 from vknots.invariants import (
@@ -23,10 +22,9 @@ from vknots.invariants import (
 )
 from vknots.laurent import LaurentPoly, LaurentPoly2, normalize_unit, poly_gcd
 from vknots.matrix import det_bareiss, minor_matrix
-from vknots.moves import random_walk
 from vknots.quaternion import GaussianLaurent, double_matrix
 
-from conftest import random_code, small_codes
+from conftest import catalog_and_walk_codes, random_code, small_codes
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIG8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
@@ -53,6 +51,37 @@ def test_loop_count_trefoil_extremes():
 def test_loop_count_free_circle():
     code = parse_gauss("()")
     assert loop_count(code, {}) == 1
+
+
+def _union_find_loop_count(code, state):
+    """Loops of a state, counted by merging edge ends (tail 2e, head
+    2e+1) with a union-find; free circles are one loop each."""
+    es = edge_structure(code)
+    parent = list(range(2 * len(es.edges)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    joins = [(2 * e, 2 * e + 1) for e in range(len(es.edges))]
+    for label, (o_in, o_out, u_in, u_out) in es.crossing_edges.items():
+        if (code.sign_of(label) > 0) == (state[label] == "A"):
+            joins += [(2 * o_in + 1, 2 * u_out), (2 * u_in + 1, 2 * o_out)]
+        else:
+            joins += [(2 * o_in + 1, 2 * u_in + 1), (2 * o_out, 2 * u_out)]
+    for a, b in joins:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in range(len(parent))}) + es.free_circles
+
+
+def test_loop_count_matches_union_find():
+    rng = random.Random(41)
+    for code in catalog_and_walk_codes(6, 8, seed=41):
+        states = [dict.fromkeys(code.labels, "A"), dict.fromkeys(code.labels, "B")]
+        states += [{l: rng.choice("AB") for l in code.labels} for _ in range(6)]
+        for state in states:
+            assert loop_count(code, state) == _union_find_loop_count(code, state)
 
 
 def test_bracket_unknot_and_kink():
@@ -178,19 +207,10 @@ def _bareiss_codim1_gcd(qmat):
 def _quaternionic_codes(max_crossings, walks, seed):
     """Catalog codes and random-walk codes with at most max_crossings
     crossings, each with crossings and without free circles."""
-    rng = random.Random(seed)
-    codes = [e.code for e in builtin_entries()]
-    for _ in range(walks):
-        start = random_code(rng, rng.randint(1, max_crossings))
-        codes += random_walk(
-            start, 3, seed=rng.randrange(10**6), max_crossings=max_crossings
-        )[1:]
     return [
         c
-        for c in codes
-        if c.labels
-        and c.n_crossings <= max_crossings
-        and edge_structure(c).free_circles == 0
+        for c in catalog_and_walk_codes(max_crossings, walks, seed)
+        if c.labels and edge_structure(c).free_circles == 0
     ]
 
 
