@@ -4,6 +4,7 @@ Diagrams are signed oriented Gauss codes; every computation is exact
 (integer / Laurent-polynomial arithmetic, no floating point).
 """
 
+from .budget import BudgetError
 from .catalog import CatalogEntry, builtin_entries, catalog_by_name, load_catalog
 from .coloring import (
     ColoringBudgetError,

@@ -7,14 +7,14 @@ single-component codes), ``catalog`` (list built-in diagrams and run
 their attached assertions).
 
 Exit codes: 0 success, 1 property divergence (fuzz/catalog check),
-2 input error.
+2 input error or an exceeded work budget.
 """
 
 import argparse
 import itertools
-import os
 import sys
 
+from .budget import BudgetError, read_budget
 from .catalog import catalog_by_name, load_catalog
 from .coloring import ColoringBudgetError
 from .gausscode import (
@@ -25,8 +25,12 @@ from .gausscode import (
     realizability_check,
     render_gauss,
 )
-from .invariants import bracket_congruence, f_polynomial, gen_alexander, \
-    quaternionic_invariant
+from .invariants import (
+    exponent_congruence,
+    f_polynomial,
+    gen_alexander,
+    quaternionic_invariant,
+)
 from .moves import random_walk, virt_construction
 from .report import (
     FLAG_NAMES,
@@ -43,16 +47,6 @@ DEFAULT_TABULATE_BUDGET = 10**6
 
 class InputError(Exception):
     pass
-
-
-def _tabulate_budget():
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TABULATE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}")
 
 
 def _resolve_code(args):
@@ -165,11 +159,12 @@ def invariant_snapshot(code, structures, full=True, _memo=None):
         return _memo[key]
     parts = []
     if full:
-        parts.append(("f", f_polynomial(code).render()))
+        f = f_polynomial(code)
+        parts.append(("f", f.render()))
         parts.append(("gen_alexander", gen_alexander(code).render()))
         study, gcd = quaternionic_invariant(code)
         parts.append(("quaternionic", (study.render(), gcd.render())))
-        parts.append(("bracket_congruence", bracket_congruence(code)))
+        parts.append(("bracket_congruence", exponent_congruence(f)))
     for s in structures:
         if full or hasattr(s, "table"):
             parts.append((structure_name(s), count_colorings(code, s)))
@@ -276,7 +271,7 @@ def enumerate_single_component(max_crossings, budget=None):
     ColoringBudgetError when the raw enumeration would exceed the budget.
     """
     if budget is None:
-        budget = _tabulate_budget()
+        budget = read_budget(BUDGET_ENV_VAR, DEFAULT_TABULATE_BUDGET)
     raw = sum(
         len(_chord_patterns(n)) * 4**n for n in range(max_crossings + 1)
     )
@@ -321,15 +316,16 @@ def cmd_tabulate(args):
     ]
     for code in codes:
         fields = [render_gauss(code)]
+        f = f_polynomial(code) if want & {"f", "atom"} else None
         if "f" in want:
-            fields.append(f"f={f_polynomial(code).render()}")
+            fields.append(f"f={f.render()}")
         if "gen_alexander" in want:
             fields.append(f"G={gen_alexander(code).render()}")
         if "quaternionic" in want:
             study, gcd = quaternionic_invariant(code)
             fields.append(f"Q=({study.render()}; {gcd.render()})")
         if "atom" in want:
-            fields.append(f"atom_congruence={bracket_congruence(code)}")
+            fields.append(f"atom_congruence={exponent_congruence(f)}")
         if "colorings" in want:
             for s in structures:
                 fields.append(
@@ -447,7 +443,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GaussCodeError, InputError, ColoringBudgetError, ValueError,
+    except (GaussCodeError, InputError, BudgetError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,26 +19,15 @@ at genuinely free choices; the search is exact and budgeted.
 import os
 from dataclasses import dataclass, field
 
+from .budget import BudgetError, read_budget
 from .gausscode import GaussCodeError, edge_structure
 
 BUDGET_ENV_VAR = "VKNOTS_COLOR_BUDGET"
 DEFAULT_COLOR_BUDGET = 10**8
 
 
-class ColoringBudgetError(RuntimeError):
+class ColoringBudgetError(BudgetError):
     """Raised when a coloring search would exceed its node budget."""
-
-
-def _color_budget():
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_COLOR_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
 
 
 # --- structures -----------------------------------------------------------
@@ -296,7 +285,7 @@ def make_dihedral_quandle(n):
 
 def _count_labelings(n_vars, q, relations):
     """Number of maps {0..n_vars-1} -> {0..q-1} satisfying every relation."""
-    budget = _color_budget()
+    budget = read_budget(BUDGET_ENV_VAR, DEFAULT_COLOR_BUDGET)
     watch = [[] for _ in range(n_vars)]
     for rel in relations:
         for var in set(rel[1:3]):

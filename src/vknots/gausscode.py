@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import permutations, product
 from typing import NamedTuple
 
 
@@ -154,43 +153,57 @@ def validate_code(code):
     return out
 
 
-def _relabel_key(entry_seq_list):
-    """Relabel in first-traversal order; return comparable nested tuple."""
-    mapping = {}
-    out = []
-    for comp in entry_seq_list:
-        newcomp = []
-        for e in comp:
-            if e.label not in mapping:
-                mapping[e.label] = len(mapping) + 1
-            newcomp.append((e.passage, mapping[e.label], e.sign))
-        out.append(tuple(newcomp))
-    return tuple(out)
-
-
 def canonicalize(code):
     """Representative of the orbit under rotation, relabeling, and
     component permutation: the minimal relabeled entry sequence over all
-    component orders and rotations."""
+    component orders and rotations.
+
+    Labels are renumbered in first-traversal order, and keys compare
+    component by component, so the minimum is built one component at a
+    time.  A branch is the components still to place plus the renumbering
+    inherited from those placed.  At each level every remaining
+    (component, rotation) pair of every branch is renumbered, and only
+    the pairs that tie for the smallest tuple become the next branches.
+    Branches with the same remaining components that agree on the labels
+    those components carry have the same future, so one of them is kept.
+    """
     comps = code.components
     empties = sum(1 for c in comps if not c)
     nonempty = [c for c in comps if c]
-    best = None
-    for order in permutations(range(len(nonempty))):
-        for rotations in product(*(range(len(nonempty[i])) for i in order)):
-            seqs = []
-            for oi, rot in zip(order, rotations):
-                c = nonempty[oi]
-                seqs.append(c[rot:] + c[:rot])
-            key = _relabel_key(seqs)
-            if best is None or key < best:
-                best = key
+    comp_labels = [{e.label for e in c} for c in nonempty]
+    branches = [(tuple(range(len(nonempty))), {})]
+    best = []
+    while branches[0][0]:
+        level_min = None
+        tied = {}
+        for remaining, mapping in branches:
+            for i in remaining:
+                comp = nonempty[i]
+                rest = tuple(j for j in remaining if j != i)
+                live = set().union(*(comp_labels[j] for j in rest))
+                for rot in range(len(comp)):
+                    new_map = dict(mapping)
+                    key = []
+                    for e in comp[rot:] + comp[:rot]:
+                        if e.label not in new_map:
+                            new_map[e.label] = len(new_map) + 1
+                        key.append((e.passage, new_map[e.label], e.sign))
+                    key = tuple(key)
+                    if level_min is None or key < level_min:
+                        level_min, tied = key, {}
+                    elif key > level_min:
+                        continue
+                    future = tuple(
+                        sorted((l, v) for l, v in new_map.items() if l in live)
+                    )
+                    tied.setdefault((rest, future), (rest, new_map))
+        best.append(level_min)
+        branches = list(tied.values())
     new_components = [()] * empties
-    if best is not None:
-        for comp in best:
-            new_components.append(
-                tuple(GaussEntry(p, lbl, s) for (p, lbl, s) in comp)
-            )
+    for comp in best:
+        new_components.append(
+            tuple(GaussEntry(p, lbl, s) for (p, lbl, s) in comp)
+        )
     return LinkGaussCode(new_components)
 
 

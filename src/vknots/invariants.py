@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .budget import BudgetError, read_budget
 from .fastdet import det_gaussian_many, det_gaussian_submatrices, det_laurent2
 from .gausscode import diagram_pieces, edge_structure
 from .laurent import (
@@ -49,109 +50,131 @@ def _crossing_end_pairs(ce, oriented):
 
 def loop_count(code, state):
     """Number of loops after smoothing every crossing per the state."""
-    return len(_traced_loops(code, state)[0]) + edge_structure(code).free_circles
+    es = edge_structure(code)
+    return len(_traced_loops(es, _signs(code), state)[0]) + es.free_circles
+
+
+def _signs(code):
+    """Label -> sign table of a code."""
+    return {e.label: e.sign for comp in code.components for e in comp}
+
+
+def _free_circles(code):
+    return sum(1 for comp in code.components if not comp)
 
 
 def writhe(code):
-    return sum(code.sign_of(label) for label in code.labels)
+    return sum(e.sign for comp in code.components for e in comp) // 2
+
+
+STATE_BUDGET_ENV_VAR = "VKNOTS_STATE_BUDGET"
+DEFAULT_STATE_BUDGET = 5 * 10**4
+
+
+def _sweep_order(es):
+    """Crossing labels in a greedy narrow-cut order.
+
+    Each step sweeps the crossing, first in label order among equals,
+    that leaves the fewest edges with exactly one swept end: an edge-end
+    whose partner end sits at a swept crossing scores 2 (the edge leaves
+    the cut), one whose partner sits at the crossing itself (a kink)
+    scores 1, twice per kink edge (the edge never enters the cut).
+    """
+    ends = {
+        label: (2 * o_in + 1, 2 * o_out, 2 * u_in + 1, 2 * u_out)
+        for label, (o_in, o_out, u_in, u_out) in es.crossing_edges.items()
+    }
+    at = {x: label for label, xs in ends.items() for x in xs}
+    partners = {label: [at[x ^ 1] for x in xs] for label, xs in ends.items()}
+    swept = set()
+    order = []
+    rest = sorted(ends)
+    while rest:
+        label = max(
+            rest,
+            key=lambda l: sum(2 if y in swept else y == l for y in partners[l]),
+        )
+        rest.remove(label)
+        swept.add(label)
+        order.append(label)
+    return order
 
 
 def _state_counts(code):
     """Histogram {(a_choices, loops): multiplicity} over all 2^n states.
 
-    Depth-first over crossings with a rollback union-find, so each state
-    costs O(1) amortized instead of a full re-trace.
+    Frontier dynamic programming: crossings are smoothed one at a time in
+    _sweep_order.  A DP state is the pairing `mate` of the open edge-ends
+    (ends at crossings not yet smoothed): mate[x] is the far end of the
+    strand that leaves x.  An edge with both ends open has the default
+    pairing mate[x] = x ^ 1; the state key is the sorted tuple of the
+    other (end, mate) items.  Each state carries a histogram keyed by
+    a_choices * stride + closed loops.  Smoothing joins two ends x, y:
+    when mate[x] == y the strand closes into a loop, otherwise mate[x]
+    and mate[y] become partners.  Work grows with the number of states,
+    which depends on the cut width rather than on n; past
+    VKNOTS_STATE_BUDGET states after one crossing the sum stops with
+    BudgetError.
     """
     es = edge_structure(code)
-    labels = code.labels
-    n = len(labels)
-    nends = 2 * len(es.edges)
-    parent = list(range(nends))
-    rank = [0] * nends
-    trail = []
-    count = nends
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        nonlocal count
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            trail.append(None)
-            return
-        if rank[ra] > rank[rb]:
-            ra, rb = rb, ra
-        parent[ra] = rb
-        grew = rank[ra] == rank[rb]
-        if grew:
-            rank[rb] += 1
-        trail.append((ra, rb, grew))
-        count -= 1
-
-    def undo():
-        nonlocal count
-        op = trail.pop()
-        if op is None:
-            return
-        ra, rb, grew = op
-        parent[ra] = ra
-        if grew:
-            rank[rb] -= 1
-        count += 1
-
-    for e in range(len(es.edges)):
-        union(2 * e, 2 * e + 1)
-
-    pair_table = []
-    for label in labels:
-        ce = es.crossing_edges[label]
-        sign = code.sign_of(label)
-        pair_table.append(
-            (
-                _crossing_end_pairs(ce, _oriented(sign, "A")),
-                _crossing_end_pairs(ce, _oriented(sign, "B")),
-            )
-        )
-
-    hist = {}
-    free = es.free_circles
-
-    def rec(depth, a_used):
-        if depth == n:
-            key = (a_used, count + free)
-            hist[key] = hist.get(key, 0) + 1
-            return
-        pa, pb = pair_table[depth]
-        for choice, pairs in ((1, pa), (0, pb)):
-            for x, y in pairs:
-                union(x, y)
-            rec(depth + 1, a_used + choice)
-            undo()
-            undo()
-
     if not es.edges:
-        hist[(0, free)] = 1
-    else:
-        rec(0, 0)
-    return hist
+        return {(0, es.free_circles): 1}
+    budget = read_budget(STATE_BUDGET_ENV_VAR, DEFAULT_STATE_BUDGET)
+    signs = _signs(code)
+    stride = len(es.edges) + 1  # closed loops never exceed the edge count
+    states = {(): {0: 1}}
+    for label in _sweep_order(es):
+        ce = es.crossing_edges[label]
+        ori = _oriented(signs[label], "A")
+        smoothings = (
+            (stride, _crossing_end_pairs(ce, ori)),
+            (0, _crossing_end_pairs(ce, not ori)),
+        )
+        swept = {}
+        for key, hist in states.items():
+            for shift, pairs in smoothings:
+                mate = dict(key)
+                for x, y in pairs:
+                    mx = mate.pop(x, x ^ 1)
+                    if mx == y:
+                        shift += 1
+                        mate.pop(y, None)
+                    else:
+                        my = mate.pop(y, y ^ 1)
+                        mate[mx] = my
+                        mate[my] = mx
+                new_key = tuple(sorted(mate.items()))
+                target = swept.get(new_key)
+                if target is None:
+                    swept[new_key] = {k + shift: m for k, m in hist.items()}
+                else:
+                    for k, m in hist.items():
+                        k += shift
+                        target[k] = target.get(k, 0) + m
+        if len(swept) > budget:
+            raise BudgetError(
+                f"bracket state sum exceeded budget of {budget} frontier "
+                f"states (override with {STATE_BUDGET_ENV_VAR})"
+            )
+        states = swept
+    (hist,) = states.values()
+    out = {}
+    for k, m in hist.items():
+        a_used, loops = divmod(k, stride)
+        out[(a_used, loops + es.free_circles)] = m
+    return out
 
 
 def bracket(code):
     """Kauffman bracket: sum over states of A^(a-b) d^(loops-1)."""
-    hist = _state_counts(code)
     n = len(code.labels)
+    by_loops = {}  # loops - 1 -> {exponent of A: multiplicity}
+    for (a_used, loops), mult in _state_counts(code).items():
+        by_loops.setdefault(loops - 1, {})[2 * a_used - n] = mult
     d = LaurentPoly({2: -1, -2: -1}, "A")
     total = LaurentPoly({}, "A")
-    dpow = {}
-    for (a_used, loops), mult in sorted(hist.items()):
-        k = loops - 1
-        if k not in dpow:
-            dpow[k] = d**k
-        term = dpow[k] * LaurentPoly.monomial(mult, 2 * a_used - n, "A")
-        total = total + term
+    for k, terms in sorted(by_loops.items()):
+        total = total + d**k * LaurentPoly(terms, "A")
     return total
 
 
@@ -191,13 +214,13 @@ def alexander_matrix(code):
     """Relation matrix over Z[s^+/-, t^+/-]; columns indexed by edges,
     then one zero column per crossing-free circle component."""
     es = edge_structure(code)
+    signs = _signs(code)
     ncols = len(es.edges) + es.free_circles
     rows = []
     one = {(0, 0): 1}
     for label in code.labels:
         o_in, o_out, u_in, u_out = es.crossing_edges[label]
-        sign = code.sign_of(label)
-        eps = 1 if sign > 0 else -1
+        eps = 1 if signs[label] > 0 else -1
         # c - t^eps a - (1 - s^eps t^eps) b = 0
         row1 = [LaurentPoly2({}) for _ in range(ncols)]
         row1[u_out] = row1[u_out] + _sp2(one)
@@ -219,10 +242,10 @@ def gen_alexander(code):
     relation-free generator, so the zeroth elementary ideal (hence the
     result) is 0 whenever one is present alongside anything else.
     """
-    es = edge_structure(code)
-    if es.free_circles and (es.edges or es.free_circles > 1):
+    free = _free_circles(code)
+    if free and (code.n_crossings or free > 1):
         return LaurentPoly2({})
-    if not es.edges:
+    if not code.n_crossings:
         return LaurentPoly2({})  # bare unknot: free rank-1 module
     m = alexander_matrix(code)
     return normalize_unit(det_laurent2(m))
@@ -251,13 +274,13 @@ def _q(w=0, x=0, y=0, z=0, tpow=0):
 def quaternionic_matrix(code):
     """Quaternionic relation matrix; zero columns for free circles."""
     es = edge_structure(code)
+    signs = _signs(code)
     ncols = len(es.edges) + es.free_circles
     zero = _q()
     rows = []
     for label in code.labels:
         o_in, o_out, u_in, u_out = es.crossing_edges[label]
-        pos = code.sign_of(label) > 0
-        eps = 1 if pos else -1
+        eps = 1 if signs[label] > 0 else -1
         # c - (j t^eps) a - (1 + eps*i) b = 0
         row1 = [zero for _ in range(ncols)]
         row1[u_out] = row1[u_out] + _q(w=1)
@@ -329,23 +352,23 @@ def quaternionic_invariant(code):
     determinant is then 0, and the gcd drops to the next elementary ideal
     (0 as soon as two such generators exist).
     """
-    es = edge_structure(code)
-    qmat = quaternionic_matrix(code)
-    if es.free_circles == 0:
+    free = _free_circles(code)
+    qmat = quaternionic_matrix(code)  # one row per edge
+    if free == 0:
         if not qmat:
             return (LaurentPoly({}), LaurentPoly.const(1))
         sd = normalize_leadpos(study_determinant(qmat))
         return (sd, codim1_gcd(qmat))
-    if not es.edges:
+    if not qmat:
         # free circles only: free module of rank = #circles
-        if es.free_circles == 1:
+        if free == 1:
             return (LaurentPoly({}), LaurentPoly.const(1))
         return (LaurentPoly({}), LaurentPoly({}))
-    if es.free_circles >= 2:
+    if free >= 2:
         return (LaurentPoly({}), LaurentPoly({}))
     # one free circle next to crossings: E_0 = 0; E_1 = the square
     # determinant left after deleting the zero column.
-    square = [row[: len(es.edges)] for row in qmat]
+    square = [row[: len(qmat)] for row in qmat]
     sd = normalize_leadpos(study_determinant(square))
     return (LaurentPoly({}), sd)
 
@@ -365,17 +388,18 @@ class AtomProfile:
     b_loops: int
 
 
-def _traced_loops(code, state):
+def _traced_loops(es, signs, state):
     """Loops of a state (label -> "A" or "B") as edge traversals.
+
+    es is the code's EdgeStructure and signs its label -> sign table.
 
     Returns (loops, cell_of_edge, dir_of_edge): each loop is a tuple of
     edge ids; dir_of_edge[e] is +1 when the loop runs along the edge's own
     orientation and -1 otherwise.  Free circles are not traced.
     """
-    es = edge_structure(code)
     match = {}
     for label, ce in es.crossing_edges.items():
-        ori = _oriented(code.sign_of(label), state[label])
+        ori = _oriented(signs[label], state[label])
         for a, b in _crossing_end_pairs(ce, ori):
             match[a] = b
             match[b] = a
@@ -412,8 +436,9 @@ def atom_profile(code):
     are spheres).
     """
     es = edge_structure(code)
-    a_loops_l, a_cell, a_dir = _traced_loops(code, dict.fromkeys(code.labels, "A"))
-    b_loops_l, b_cell, b_dir = _traced_loops(code, dict.fromkeys(code.labels, "B"))
+    signs = _signs(code)
+    a_loops_l, a_cell, a_dir = _traced_loops(es, signs, dict.fromkeys(signs, "A"))
+    b_loops_l, b_cell, b_dir = _traced_loops(es, signs, dict.fromkeys(signs, "B"))
     a_loops = len(a_loops_l) + es.free_circles
     b_loops = len(b_loops_l) + es.free_circles
 
@@ -468,28 +493,36 @@ def atom_profile(code):
     )
 
 
-def bracket_congruence(code):
-    """Largest m in (4, 2, 1) with all bracket exponents pairwise
-    congruent mod m.  Moves multiply the bracket by at most a unit
-    monomial, so exponent differences — hence this modulus — are a move
-    invariant; the atom claims predict 4 whenever the atom is orientable
-    and at least 2 always.
-    """
-    br = bracket(code)
-    exps = sorted(br.terms)
+def exponent_congruence(poly):
+    """Largest m in (4, 2, 1) with all exponents of poly pairwise
+    congruent mod m (4 for the zero polynomial)."""
+    exps = sorted(poly.terms)
     for m in (4, 2):
         if all((e - exps[0]) % m == 0 for e in exps):
             return m
     return 1
 
 
+def bracket_congruence(code):
+    """Largest m in (4, 2, 1) with all bracket exponents pairwise
+    congruent mod m.  Moves multiply the bracket by at most a unit
+    monomial, so exponent differences — hence this modulus — are a move
+    invariant; the atom claims predict 4 whenever the atom is orientable
+    and at least 2 always.  The f-polynomial is the bracket times a unit
+    monomial, so exponent_congruence(f_polynomial(code)) is the same
+    number.
+    """
+    return exponent_congruence(bracket(code))
+
+
 def atom_congruence_ok(code):
     """The atom-orientability claim checked on one code: orientable atoms
     force bracket exponents congruent mod 4, and mod 2 unconditionally."""
-    mod = bracket_congruence(code)
+    br = bracket(code)
+    mod = exponent_congruence(br)
     if atom_profile(code).orientable:
-        return mod % 4 == 0 or not bracket(code).terms
-    return mod % 2 == 0 or not bracket(code).terms
+        return mod % 4 == 0 or not br.terms
+    return mod % 2 == 0 or not br.terms
 
 
 # --- arrow-diagram expansion ------------------------------------------------

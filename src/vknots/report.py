@@ -22,7 +22,7 @@ from .gausscode import (
 )
 from .invariants import (
     atom_profile,
-    bracket_congruence,
+    exponent_congruence,
     f_polynomial,
     gen_alexander,
     quaternionic_invariant,
@@ -88,8 +88,11 @@ def invariant_report(code, want, structures=()):
             )
             rows.append((f"row{i}", row))
         pairs.append(("flat_parity", rows))
+    # the atom section's bracket congruence reads the f-polynomial, which
+    # is the bracket times a unit monomial
+    f = f_polynomial(code) if want & {"f", "atom"} else None
     if "f" in want:
-        pairs.append(("f_polynomial", f_polynomial(code).render()))
+        pairs.append(("f_polynomial", f.render()))
     if "gen_alexander" in want:
         pairs.append(("gen_alexander", gen_alexander(code).render()))
     if "quaternionic" in want:
@@ -108,7 +111,7 @@ def invariant_report(code, want, structures=()):
                     ("orientable", str(prof.orientable).lower()),
                     ("a_loops", str(prof.a_loops)),
                     ("b_loops", str(prof.b_loops)),
-                    ("bracket_congruence", str(bracket_congruence(code))),
+                    ("bracket_congruence", str(exponent_congruence(f))),
                 ],
             )
         )

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import strategies as st
@@ -34,6 +35,16 @@ def random_code_text(rng, n, allow_multi=False):
             other = "U" if passages[lab] == "O" else "O"
             parts.append(f"{other}{lab}{signs[lab]}")
     return "".join(parts)
+
+
+def random_link_text(rng, n, k, free=0):
+    """A random valid code with n crossings on k non-empty components
+    (1 <= k <= 2n), followed by `free` crossing-free circles."""
+    entries = re.findall(r"[OU]\d+[+-]", random_code_text(rng, n))
+    cuts = sorted(rng.sample(range(1, 2 * n), k - 1))
+    bounds = [0] + cuts + [2 * n]
+    comps = ["".join(entries[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return "/".join(comps + ["()"] * free)
 
 
 def random_code(rng, n):

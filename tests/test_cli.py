@@ -180,6 +180,14 @@ def test_tabulate_budget_exit_code(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_invariants_state_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("VKNOTS_STATE_BUDGET", "1")
+    rc, out, err = run(capsys, "invariants", "--name", "kishino", "--f")
+    assert rc == 2
+    assert out == ""
+    assert "VKNOTS_STATE_BUDGET" in err
+
+
 # --- catalog ---------------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import random
+import time
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 
 from vknots.gausscode import (
     GaussCodeError,
+    GaussEntry,
+    LinkGaussCode,
     canonical_key,
     canonicalize,
     diagram_pieces,
@@ -18,7 +22,7 @@ from vknots.gausscode import (
     validate_code,
 )
 
-from conftest import random_code, small_codes
+from conftest import random_code, random_link_text, small_codes
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 VTREF = "O1+O2+U1+U2+"
@@ -142,6 +146,93 @@ def test_canonical_key_constant_on_rotations(code, rot):
 
     rotated = LinkGaussCode([comp[r:] + comp[:r]])
     assert canonical_key(rotated) == canonical_key(code)
+
+
+def _brute_force_canonicalize(code):
+    """The search canonicalize replaced: every component order and every
+    rotation of each component, relabeled in first-traversal order."""
+    nonempty = [c for c in code.components if c]
+    best = ()
+    for order in permutations(nonempty):
+        for rotations in product(*(range(len(c)) for c in order)):
+            mapping = {}
+            key = []
+            for comp, rot in zip(order, rotations):
+                for e in comp[rot:] + comp[:rot]:
+                    mapping.setdefault(e.label, len(mapping) + 1)
+                key.append(tuple(
+                    GaussEntry(e.passage, mapping[e.label], e.sign)
+                    for e in comp[rot:] + comp[:rot]
+                ))
+            key = tuple(key)
+            if not best or key < best:
+                best = key
+    empties = len(code.components) - len(nonempty)
+    return LinkGaussCode([()] * empties + list(best))
+
+
+def _necklace(k):
+    """k components in a ring, each clasped to the next by two crossings."""
+    comps = []
+    for i in range(k):
+        prev = (i - 1) % k
+        comps.append(
+            f"O{2 * i + 1}+U{2 * i + 2}+U{2 * prev + 1}+O{2 * prev + 2}+"
+        )
+    return "/".join(comps)
+
+
+def _scrambled(rng, code):
+    """The code with labels, component order and rotations shuffled."""
+    labels = code.labels
+    fresh = rng.sample(range(1, 3 * len(labels) + 2), len(labels))
+    relabel = dict(zip(labels, fresh))
+    comps = []
+    for comp in code.components:
+        r = rng.randrange(len(comp)) if comp else 0
+        comps.append(tuple(
+            GaussEntry(e.passage, relabel[e.label], e.sign)
+            for e in comp[r:] + comp[:r]
+        ))
+    rng.shuffle(comps)
+    return LinkGaussCode(comps)
+
+
+def _symmetric_links():
+    texts = [_necklace(k) for k in (2, 3, 4)]
+    texts += [
+        "O1+U2+/O2+U1+",
+        "O1+U2+/U1+O2+",
+        "O1+U2+O3+U4+/U1+O2+U3+O4+",
+        "O1+U1+/O2+U2+/O3+U3+",
+        "O1-U1-/O2+U2+/()/O3-U3-",
+        TREFOIL + "/O4+U5+O6+U4+O5+U6+",
+        "O1+U2+/O3+U4+/U1+O2+/U3+O4+",
+    ]
+    return [parse_gauss(t) for t in texts]
+
+
+def test_canonicalize_matches_brute_force():
+    rng = random.Random(2024)
+    codes = _symmetric_links()
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        n = rng.randint((k + 1) // 2, 5)
+        text = random_link_text(rng, n, k, rng.randint(0, 1))
+        codes.append(parse_gauss(text))
+    for code in codes:
+        expected = _brute_force_canonicalize(code)
+        assert canonicalize(code) == expected, code
+        assert canonicalize(_scrambled(rng, code)) == expected, code
+
+
+def test_canonicalize_necklace_is_fast():
+    code = parse_gauss(_necklace(6))
+    t0 = time.perf_counter()
+    canon = canonicalize(code)
+    assert time.perf_counter() - t0 < 0.1
+    assert canonical_key(code) == render_gauss(canon)
+    assert canonicalize(_scrambled(random.Random(6), code)) == canon
 
 
 def test_canonicalize_idempotent(rng):

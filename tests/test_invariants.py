@@ -1,17 +1,31 @@
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
 
+from vknots import invariants
+from vknots.budget import BudgetError
+from vknots.catalog import builtin_entries
 from vknots.fastdet import det_gaussian_many
-from vknots.gausscode import canonicalize, edge_structure, parse_gauss
+from vknots.gausscode import (
+    canonicalize,
+    edge_structure,
+    parse_gauss,
+    realizability_check,
+)
 from vknots.invariants import (
+    _crossing_end_pairs,
+    _oriented,
+    _state_counts,
     arrow_expansion,
     atom_congruence_ok,
     atom_profile,
     bracket,
     bracket_congruence,
     codim1_gcd,
+    exponent_congruence,
     f_polynomial,
     gen_alexander,
     jones_t_form,
@@ -24,7 +38,13 @@ from vknots.laurent import LaurentPoly, LaurentPoly2, normalize_unit, poly_gcd
 from vknots.matrix import det_bareiss, minor_matrix
 from vknots.quaternion import GaussianLaurent, double_matrix
 
-from conftest import catalog_and_walk_codes, random_code, small_codes
+from conftest import (
+    catalog_and_walk_codes,
+    random_code,
+    random_code_text,
+    random_link_text,
+    small_codes,
+)
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIG8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
@@ -88,6 +108,165 @@ def test_bracket_unknot_and_kink():
     assert bracket(parse_gauss("()")).render() == "1"
     assert bracket(parse_gauss("O1+U1+")).render() == "-A^3"
     assert bracket(parse_gauss("O1-U1-")).render() == "-A^-3"
+
+
+def _dfs_state_counts(code):
+    """The state sum the frontier DP replaced: depth-first over crossings
+    with a rollback union-find on edge ends, one leaf per state."""
+    es = edge_structure(code)
+    labels = code.labels
+    nends = 2 * len(es.edges)
+    parent = list(range(nends))
+    trail = []
+    count = nends
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        nonlocal count
+        ra, rb = find(a), find(b)
+        trail.append(ra if ra != rb else None)
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+
+    def undo():
+        nonlocal count
+        ra = trail.pop()
+        if ra is not None:
+            parent[ra] = ra
+            count += 1
+
+    for e in range(len(es.edges)):
+        union(2 * e, 2 * e + 1)
+    hist = {}
+
+    def rec(depth, a_used):
+        if depth == len(labels):
+            key = (a_used, count + es.free_circles)
+            hist[key] = hist.get(key, 0) + 1
+            return
+        label = labels[depth]
+        sign = code.sign_of(label)
+        for choice, smoothing in ((1, "A"), (0, "B")):
+            pairs = _crossing_end_pairs(
+                es.crossing_edges[label], _oriented(sign, smoothing)
+            )
+            for x, y in pairs:
+                union(x, y)
+            rec(depth + 1, a_used + choice)
+            undo()
+            undo()
+
+    if not es.edges:
+        return {(0, es.free_circles): 1}
+    rec(0, 0)
+    return hist
+
+
+def _with_kinks(rng, text, count):
+    """Insert `count` kinks (two adjacent entries of one new label) at
+    random places of a single-component code text."""
+    entries = re.findall(r"[OU]\d+[+-]", text)
+    label = len(entries) // 2
+    for _ in range(count):
+        label += 1
+        sign = rng.choice("+-")
+        first, second = rng.sample("OU", 2)
+        at = rng.randint(0, len(entries))
+        entries[at:at] = [f"{first}{label}{sign}", f"{second}{label}{sign}"]
+    return "".join(entries)
+
+
+def _state_sum_codes():
+    rng = random.Random(4104)
+    codes = [e.code for e in builtin_entries()]
+    texts = [random_code_text(rng, n) for n in range(15) for _ in range(2)]
+    texts += [random_link_text(rng, n, k, rng.randint(0, 1))
+              for n, k in ((2, 2), (3, 2), (4, 3), (6, 2), (7, 4), (9, 3))]
+    texts += [_with_kinks(rng, random_code_text(rng, n), k)
+              for n, k in ((0, 1), (0, 2), (2, 1), (5, 2), (8, 3))]
+    texts += ["()", "()/()", "()/O1+U1+", TREFOIL + "/()/()", HOPF + "/O3-U3-"]
+    return codes + [parse_gauss(t) for t in texts]
+
+
+def test_state_counts_match_dfs():
+    codes = _state_sum_codes()
+    assert any(c.n_crossings == 14 for c in codes)
+    assert any(edge_structure(c).free_circles for c in codes)
+    for code in codes:
+        assert _state_counts(code) == _dfs_state_counts(code), code
+
+
+def test_state_budget(monkeypatch):
+    code = random_code(random.Random(7), 8)
+    monkeypatch.setenv("VKNOTS_STATE_BUDGET", "1")
+    with pytest.raises(BudgetError, match="VKNOTS_STATE_BUDGET"):
+        bracket(code)
+    monkeypatch.setenv("VKNOTS_STATE_BUDGET", "many")
+    with pytest.raises(ValueError, match="must be an integer"):
+        bracket(code)
+    monkeypatch.setenv("VKNOTS_STATE_BUDGET", "1000")
+    assert _state_counts(code) == _dfs_state_counts(code)
+
+
+def test_bracket_of_criterion_11_code_is_fast():
+    code = random_code(random.Random(1111), 18)
+    t0 = time.perf_counter()
+    bracket(code)
+    assert time.perf_counter() - t0 < 0.2
+
+
+def _torus_2_code(n):
+    """The standard diagram of the (2, n) torus link: n positive
+    crossings, a knot for odd n and a two-component link for even n."""
+    if n % 2:
+        return "".join(f"{'OU'[i % 2]}{i % n + 1}+" for i in range(2 * n))
+    return "/".join(
+        "".join(f"{'OU'[(i + c) % 2]}{i + 1}+" for i in range(n)) for c in (0, 1)
+    )
+
+
+def test_thirty_crossing_bracket_with_a_narrow_frontier():
+    code = parse_gauss(_torus_2_code(30))
+    assert realizability_check(code)
+    t0 = time.perf_counter()
+    br = bracket(code)
+    assert time.perf_counter() - t0 < 3
+    # a reduced alternating diagram's bracket spans 4n (Kauffman-Murasugi)
+    assert max(br.terms) - min(br.terms) == 4 * 30
+    assert _torus_2_code(3) == TREFOIL
+
+
+def test_congruence_from_f_equals_bracket_congruence():
+    for code in _state_sum_codes()[:40]:
+        assert exponent_congruence(f_polynomial(code)) == bracket_congruence(code)
+
+
+def _edge_structure_calls(monkeypatch, fn, *args):
+    calls = []
+    real = invariants.edge_structure
+
+    def counting(code):
+        calls.append(code)
+        return real(code)
+
+    monkeypatch.setattr(invariants, "edge_structure", counting)
+    fn(*args)
+    monkeypatch.setattr(invariants, "edge_structure", real)
+    return len(calls)
+
+
+def test_each_invariant_builds_the_edge_structure_once(monkeypatch):
+    code = parse_gauss(TREFOIL)
+    state = dict.fromkeys(code.labels, "A")
+    assert _edge_structure_calls(monkeypatch, atom_profile, code) == 1
+    assert _edge_structure_calls(monkeypatch, loop_count, code, state) == 1
+    assert _edge_structure_calls(monkeypatch, bracket, code) == 1
+    assert _edge_structure_calls(monkeypatch, quaternionic_invariant, code) == 1
 
 
 def test_writhe():
