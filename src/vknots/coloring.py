@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 
 from .budget import BudgetError, read_budget
-from .gausscode import GaussCodeError, edge_structure
+from .gausscode import GaussCodeError, edge_structure, label_signs
 
 BUDGET_ENV_VAR = "VKNOTS_COLOR_BUDGET"
 DEFAULT_COLOR_BUDGET = 10**8
@@ -343,10 +343,11 @@ def count_biquandle_colorings(code, bq):
     Every free circle contributes a factor of n (one unconstrained label).
     """
     struct = edge_structure(code)
+    signs = label_signs(code)
     relations = []
     for label in sorted(struct.crossing_edges):
         o_in, o_out, u_in, u_out = struct.crossing_edges[label]
-        if code.sign_of(label) > 0:
+        if signs[label] > 0:
             up_table, down_table = bq.up, bq.down
         else:
             up_table, down_table = bq.upbar, bq.downbar

@@ -7,8 +7,7 @@ evaluation/interpolation scheme:
 
 * shift each row by a monomial so all exponents are nonnegative (the
   determinant picks up a known monomial factor),
-* bound the degree (sum of per-row maxima) and the coefficient l1-norm
-  (product of per-row entry-norm sums),
+* bound the degree (sum of per-row maxima) and the coefficients (below),
 * evaluate the matrix at enough integer points modulo several primes,
   run batched division-free elimination in numpy, interpolate the
   coefficients with a cached inverse Vandermonde matrix, and
@@ -17,6 +16,18 @@ evaluation/interpolation scheme:
 Gaussian-integer coefficients are handled with primes p = 1 (mod 4): the
 two ring maps i -> +/- sqrt(-1) (mod p) give conjugate evaluations whose
 half-sum and half-difference separate the real and imaginary parts.
+
+Coefficient bound.  On |t| = 1 an entry is at most its coefficient l1
+norm in absolute value, so by Hadamard's inequality |det| <= prod_r
+(sum_j l1(e_rj)^2)^(1/2) there, and each coefficient of det, a Fourier
+coefficient on the circle, obeys the same bound (Goldstein & Graham, "A
+Hadamard-type bound on the coefficients of a determinant of polynomials",
+SIAM Review 16, 1974); the torus |s| = |t| = 1 gives it for two variables.
+Monomial row shifts keep |entry| on the circle and deleting columns only
+lowers row norms, so one bound from the rows serves every shifted matrix
+and every submatrix on those rows.  It is kept exact as
+isqrt(prod_r sum_j l1(e_rj)^2) + 1, and the primes are chosen so that
+their product exceeds twice it.
 
 Block minors.  The quaternionic pair needs, for an N x N doubled matrix
 (N = 2m), the m^2 minors that delete one 2 x 2 block row r and one block
@@ -42,7 +53,7 @@ section 0.8).  No floating point is involved anywhere.
 
 from __future__ import annotations
 
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -354,9 +365,9 @@ def _vand_inv(npoints, p):
 
 
 def _crt_symmetric(residues, primes):
-    """Symmetric-range integers (an object array) from equally shaped
-    arrays of residues modulo distinct primes."""
-    x = residues[0].astype(object)
+    """Symmetric-range integers from equally shaped arrays of residues
+    modulo distinct primes: int64 for one prime, else an object array."""
+    x = residues[0] if len(primes) == 1 else residues[0].astype(object)
     M = primes[0]
     for r, p in zip(residues[1:], primes[1:]):
         t = (r - x % p) * pow(M, -1, p) % p
@@ -376,45 +387,56 @@ def _point_powers(npoints, maxdeg, p):
     return XP
 
 
-def _shift_rows(mat):
-    """Shift each row by a monomial so its least exponent is 0.
+def _coefficient_bound(weights):
+    """Bound on every coefficient of a determinant whose rows have the
+    given weights (a row's weight is the sum of its entries' squared l1
+    norms); see the module docstring."""
+    return isqrt(prod(weights)) + 1
 
-    Returns (shifted rows, shifts, row degrees, row l1 norms); a zero row
-    keeps shift 0 and has l1 norm 0.
+
+def _gaussian_setup(mat):
+    """Shift, degree, weight and coefficients of every row of a square
+    matrix over Z[i][t, t^-1], from one pass over its nonzero entries.
+
+    Each row is shifted by a monomial so its least exponent is 0.  Returns
+    (coeffs, shifts, row degrees, row weights): coeffs[0] and coeffs[1]
+    hold the real and imaginary coefficients, shape (n, n, deg + 1), as
+    int64, or as Python ints when one does not fit, so that every
+    coefficient reduces exactly mod p.  A zero row has shift 0, degree 0
+    and weight 0.
     """
-    shifted, shifts, degs, l1s = [], [], [], []
-    for row in mat:
-        v = min((e.min_exp() for e in row if e), default=0)
-        srow = [e.shift(-v) for e in row] if v else row
-        shifted.append(srow)
-        shifts.append(v)
-        degs.append(max((e.max_exp() for e in srow if e), default=0))
-        l1s.append(sum(e.l1_norm() for e in srow))
-    return shifted, shifts, degs, l1s
-
-
-def _gaussian_coeffs(shifted):
-    """(re, im) coefficient arrays of shape (n, n, deg + 1), as Python ints
-    so that coefficients of any size reduce exactly mod p."""
-    ed = max((e.max_exp() for row in shifted for e in row if e), default=0)
-    shape = (len(shifted), len(shifted[0]), ed + 1)
-    re, im = np.zeros(shape, dtype=object), np.zeros(shape, dtype=object)
-    for r, row in enumerate(shifted):
-        for c, e in enumerate(row):
-            for d, v in e.re.terms.items():
-                re[r, c, d] = v
-            for d, v in e.im.terms.items():
-                im[r, c, d] = v
-    return re, im
+    n = len(mat)
+    shifts, degs, weights, terms = [], [], [], []
+    for r, row in enumerate(mat):
+        ents = [(c, e.re.terms, e.im.terms) for c, e in enumerate(row)
+                if e.re.terms or e.im.terms]
+        exps = [d for _c, re, im in ents for d in (*re, *im)]
+        lo = min(exps, default=0)
+        shifts.append(lo)
+        degs.append(max(exps, default=0) - lo)
+        w = 0
+        for c, re, im in ents:
+            l1 = 0
+            for part, tbl in ((0, re), (1, im)):
+                for d, v in tbl.items():
+                    terms.append((part, r, c, d - lo, v))
+                    l1 += abs(v)
+            w += l1 * l1
+        weights.append(w)
+    small = all(-(2**63) < t[4] < 2**63 for t in terms)
+    coeffs = np.zeros((2, n, n, max(degs, default=0) + 1),
+                      dtype=np.int64 if small else object)
+    if terms:
+        part, rows, cols, exps, vals = zip(*terms)
+        coeffs[part, rows, cols, exps] = vals
+    return coeffs, shifts, degs, weights
 
 
 def _evaluate(coeffs, P, p, root):
     """The matrix at t = 1..P mod p, first with i -> root, then i -> -root:
     a stack of shape (2P, n, n)."""
-    re, im = coeffs
-    XP = _point_powers(P, re.shape[2] - 1, p)
-    vre = np.tensordot((re % p).astype(np.int64), XP, axes=([2], [1])) % p
-    vim = np.tensordot((im % p).astype(np.int64), XP, axes=([2], [1])) % p
+    XP = _point_powers(P, coeffs.shape[3] - 1, p)
+    vre, vim = np.tensordot((coeffs % p).astype(np.int64), XP, axes=([3], [1])) % p
     return np.concatenate(
         [
             np.moveaxis((vre + root * vim) % p, 2, 0),
@@ -423,13 +445,14 @@ def _evaluate(coeffs, P, p, root):
     )
 
 
-def _interpolate_gaussian(D, L, evaluate, var):
-    """Exact polynomials over Z[i] of degree <= D and coefficient l1-norm
-    <= L, from their values.
+def _interpolate_gaussian(D, L, evaluate, shifts, var):
+    """Exact polynomials over Z[i] of degree <= D and coefficients of
+    absolute value <= L, from their values.
 
     evaluate(p, root, P) returns a (2P, S) array: the values of S
     polynomials mod p at t = 1..P with i -> root, then with i -> -root.
-    Returns the S polynomials as GaussianLaurent.
+    Returns the S polynomials as GaussianLaurent, polynomial s multiplied
+    by t^shifts[s].
     """
     P = D + 1
     primes = _primes(_num_primes_for(L))
@@ -441,16 +464,16 @@ def _interpolate_gaussian(D, L, evaluate, var):
         re_res.append(Vinv @ ((vplus + vminus) * pow(2, -1, p) % p) % p)
         im_res.append(Vinv @ ((vplus - vminus) * pow(2 * root, -1, p) % p) % p)
     plist = [p for p, _ in primes]
-    re = _crt_symmetric(re_res, plist)
-    im = _crt_symmetric(im_res, plist)
+    re = _crt_symmetric(re_res, plist).T.tolist()
+    im = _crt_symmetric(im_res, plist).T.tolist()
     return [
-        GaussianLaurent(_poly(re[:, s], var), _poly(im[:, s], var))
-        for s in range(re.shape[1])
+        GaussianLaurent(_poly(re[s], shift, var), _poly(im[s], shift, var))
+        for s, shift in enumerate(shifts)
     ]
 
 
-def _poly(coeffs, var):
-    return LaurentPoly({d: int(c) for d, c in enumerate(coeffs) if c}, var)
+def _poly(coeffs, shift, var):
+    return LaurentPoly({d + shift: c for d, c in enumerate(coeffs) if c}, var)
 
 
 def det_gaussian_many(mats, var="t"):
@@ -467,18 +490,18 @@ def det_gaussian_many(mats, var="t"):
         if not mat:
             results[idx] = GaussianLaurent.const(1, 0, var)
             continue
-        shifted, shifts, degs, l1s = _shift_rows(mat)
-        if not all(l1s):
+        coeffs, shifts, degs, weights = _gaussian_setup(mat)
+        if not all(weights):
             results[idx] = zero
             continue
-        jobs.append((idx, _gaussian_coeffs(shifted), sum(shifts)))
+        jobs.append((idx, coeffs, sum(shifts)))
         D = max(D, sum(degs))
-        L = max(L, prod(l1s))
+        L = max(L, _coefficient_bound(weights))
     if not jobs:
         return results
     by_size: dict[int, list] = {}
     for j, (_idx, coeffs, _shift) in enumerate(jobs):
-        by_size.setdefault(coeffs[0].shape[0], []).append(j)
+        by_size.setdefault(coeffs.shape[1], []).append(j)
 
     def evaluate(p, root, P):
         vals = np.empty((2 * P, len(jobs)), dtype=np.int64)
@@ -487,10 +510,9 @@ def det_gaussian_many(mats, var="t"):
             vals[:, js] = _chunked_det(stack, p).reshape(len(js), 2 * P).T
         return vals
 
-    for (idx, _coeffs, shift), g in zip(
-        jobs, _interpolate_gaussian(D, L, evaluate, var)
-    ):
-        results[idx] = g.shift(shift)
+    dets = _interpolate_gaussian(D, L, evaluate, [s for _i, _c, s in jobs], var)
+    for (idx, _coeffs, _shift), g in zip(jobs, dets):
+        results[idx] = g
     return results
 
 
@@ -510,16 +532,18 @@ def det_gaussian_submatrices(mat, selections, var="t"):
         return [GaussianLaurent.const(1, 0, var) for _ in selections]
     zero = GaussianLaurent(LaurentPoly({}, var), LaurentPoly({}, var))
     results = [zero] * len(selections)
-    shifted, shifts, degs, l1s = _shift_rows(mat)
+    coeffs, shifts, degs, weights = _gaussian_setup(mat)
+    zero_rows = {r for r, w in enumerate(weights) if not w}
     live = [
         (i, tuple(rows), tuple(cols))
         for i, (rows, cols) in enumerate(selections)
-        if all(l1s[r] for r in rows)
+        if zero_rows.isdisjoint(rows)
     ]
     if not live:
         return results
-    D = max(sum(degs[r] for r in rows) for _i, rows, _cols in live)
-    L = max(prod(l1s[r] for r in rows) for _i, rows, _cols in live)
+    row_shift = {rows: sum(shifts[r] for r in rows) for _i, rows, _cols in live}
+    D = max(sum(degs[r] for r in rows) for rows in row_shift)
+    L = max(_coefficient_bound(weights[r] for r in rows) for rows in row_shift)
     block_of = (
         {tuple(k): r for r, k in enumerate(_block_keep(n // 2).tolist())}
         if n % 2 == 0
@@ -532,7 +556,6 @@ def det_gaussian_submatrices(mat, selections, var="t"):
             direct.setdefault(len(rows), []).append(j)
         else:
             blocks.append((j, *rc))
-    coeffs = _gaussian_coeffs(shifted)
 
     def evaluate(p, root, P):
         stack = _evaluate(coeffs, P, p, root)
@@ -547,8 +570,11 @@ def det_gaussian_submatrices(mat, selections, var="t"):
             vals[:, js] = _chunked_det(subs, p).reshape(len(js), 2 * P).T
         return vals
 
-    for (i, rows, _cols), g in zip(live, _interpolate_gaussian(D, L, evaluate, var)):
-        results[i] = g.shift(sum(shifts[r] for r in rows))
+    dets = _interpolate_gaussian(
+        D, L, evaluate, [row_shift[rows] for _i, rows, _cols in live], var
+    )
+    for (i, _rows, _cols), g in zip(live, dets):
+        results[i] = g
     return results
 
 
@@ -559,7 +585,7 @@ def det_laurent2(mat):
         return LaurentPoly2.const(1)
     shifted, tshift, sshift = [], 0, 0
     Ds = Dt = 0
-    L = 1
+    weights = []
     for row in mat:
         nz = [e for e in row if e]
         if not nz:
@@ -572,7 +598,7 @@ def det_laurent2(mat):
         shifted.append(srow)
         Ds += max(e.max_exps()[0] for e in srow if e)
         Dt += max(e.max_exps()[1] for e in srow if e)
-        L *= sum(e.l1_norm() for e in srow)
+        weights.append(sum(e.l1_norm() ** 2 for e in srow))
     eds = max((e.max_exps()[0] for row in shifted for e in row if e), default=0)
     edt = max((e.max_exps()[1] for row in shifted for e in row if e), default=0)
     coeffs = [
@@ -586,7 +612,7 @@ def det_laurent2(mat):
         for row in shifted
     ]
     Ps, Pt = Ds + 1, Dt + 1
-    primes = _primes(_num_primes_for(L))
+    primes = _primes(_num_primes_for(_coefficient_bound(weights)))
     grids = []
     for p, _root in primes:
         C = (np.array(coeffs, dtype=object) % p).astype(np.int64)

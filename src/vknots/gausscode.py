@@ -69,6 +69,11 @@ class LinkGaussCode:
         raise GaussCodeError(f"unknown label {label}")
 
 
+def label_signs(code):
+    """Label -> sign table of a code: one pass, where sign_of scans."""
+    return {e.label: e.sign for comp in code.components for e in comp}
+
+
 _TOKEN = re.compile(r"\s+|\(\)|/|[OU](?:[1-9][0-9]*)[+-]|.", re.DOTALL)
 _ENTRY = re.compile(r"([OU])([1-9][0-9]*)([+-])")
 
@@ -382,12 +387,13 @@ def realizability_check(code):
     labels = code.labels
     if not labels:
         return True
+    signs = label_signs(code)
     # slot id: (label, k) with k the ccw position 0..3
     slot_of_end = {}  # ("head"/"tail", edge) -> slot
     end_of_slot = {}
     for label in labels:
         o_in, o_out, u_in, u_out = es.crossing_edges[label]
-        names = _SLOTS_POS if code.sign_of(label) > 0 else _SLOTS_NEG
+        names = _SLOTS_POS if signs[label] > 0 else _SLOTS_NEG
         for k, nm in enumerate(names):
             slot = (label, k)
             end = {

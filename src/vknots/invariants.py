@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .budget import BudgetError, read_budget
 from .fastdet import det_gaussian_many, det_gaussian_submatrices, det_laurent2
-from .gausscode import diagram_pieces, edge_structure
+from .gausscode import diagram_pieces, edge_structure, label_signs
 from .laurent import (
     LaurentPoly,
     LaurentPoly2,
@@ -51,12 +51,7 @@ def _crossing_end_pairs(ce, oriented):
 def loop_count(code, state):
     """Number of loops after smoothing every crossing per the state."""
     es = edge_structure(code)
-    return len(_traced_loops(es, _signs(code), state)[0]) + es.free_circles
-
-
-def _signs(code):
-    """Label -> sign table of a code."""
-    return {e.label: e.sign for comp in code.components for e in comp}
+    return len(_traced_loops(es, label_signs(code), state)[0]) + es.free_circles
 
 
 def _free_circles(code):
@@ -120,7 +115,7 @@ def _state_counts(code):
     if not es.edges:
         return {(0, es.free_circles): 1}
     budget = read_budget(STATE_BUDGET_ENV_VAR, DEFAULT_STATE_BUDGET)
-    signs = _signs(code)
+    signs = label_signs(code)
     stride = len(es.edges) + 1  # closed loops never exceed the edge count
     states = {(): {0: 1}}
     for label in _sweep_order(es):
@@ -214,7 +209,7 @@ def alexander_matrix(code):
     """Relation matrix over Z[s^+/-, t^+/-]; columns indexed by edges,
     then one zero column per crossing-free circle component."""
     es = edge_structure(code)
-    signs = _signs(code)
+    signs = label_signs(code)
     ncols = len(es.edges) + es.free_circles
     rows = []
     one = {(0, 0): 1}
@@ -274,7 +269,7 @@ def _q(w=0, x=0, y=0, z=0, tpow=0):
 def quaternionic_matrix(code):
     """Quaternionic relation matrix; zero columns for free circles."""
     es = edge_structure(code)
-    signs = _signs(code)
+    signs = label_signs(code)
     ncols = len(es.edges) + es.free_circles
     zero = _q()
     rows = []
@@ -306,12 +301,6 @@ def study_determinant(qmat):
     return d.re
 
 
-def _minor_selection(m, r, c):
-    rows = tuple(i for i in range(2 * m) if i not in (2 * r, 2 * r + 1))
-    cols = tuple(j for j in range(2 * m) if j not in (2 * c, 2 * c + 1))
-    return (rows, cols)
-
-
 def _fold_study_gcd(g, dets):
     for d in dets:
         if not d.im.is_zero():
@@ -326,21 +315,19 @@ def codim1_gcd(qmat):
     """gcd in Z[t] of the Study determinants of all first minors,
     normalized to t-valuation 0 and positive leading coefficient.
 
-    Diagonal minors are computed first: when their gcd is already 1 the
-    remaining deletions cannot change it and are skipped.
+    All m^2 minors come from one determinant-engine call, which eliminates
+    each evaluated matrix once for all of them.  The gcd folds the
+    diagonal minors first: once it is 1 the rest cannot change it.
     """
     m = len(qmat)
     if m == 0:
         return LaurentPoly.const(1)
-    dbl = double_matrix(qmat)
-    diag = [_minor_selection(m, r, r) for r in range(m)]
-    g = _fold_study_gcd(LaurentPoly({}), det_gaussian_submatrices(dbl, diag))
-    if g == LaurentPoly.const(1):
-        return g
-    rest = [
-        _minor_selection(m, r, c) for r in range(m) for c in range(m) if r != c
-    ]
-    return _fold_study_gcd(g, det_gaussian_submatrices(dbl, rest))
+    keep = [tuple(i for i in range(2 * m) if i // 2 != r) for r in range(m)]
+    pairs = [(r, r) for r in range(m)]
+    pairs += [(r, c) for r in range(m) for c in range(m) if r != c]
+    selections = [(keep[r], keep[c]) for r, c in pairs]
+    dets = det_gaussian_submatrices(double_matrix(qmat), selections)
+    return _fold_study_gcd(LaurentPoly({}), dets)
 
 
 def quaternionic_invariant(code):
@@ -436,7 +423,7 @@ def atom_profile(code):
     are spheres).
     """
     es = edge_structure(code)
-    signs = _signs(code)
+    signs = label_signs(code)
     a_loops_l, a_cell, a_dir = _traced_loops(es, signs, dict.fromkeys(signs, "A"))
     b_loops_l, b_cell, b_dir = _traced_loops(es, signs, dict.fromkeys(signs, "B"))
     a_loops = len(a_loops_l) + es.free_circles

@@ -13,7 +13,13 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .gausscode import GaussCodeError, GaussEntry, LinkGaussCode, canonicalize
+from .gausscode import (
+    GaussCodeError,
+    GaussEntry,
+    LinkGaussCode,
+    canonicalize,
+    label_signs,
+)
 
 MOVE_KINDS = ("R1Add", "R1Remove", "R2Add", "R2Remove", "R3", "ForbiddenOver")
 
@@ -293,7 +299,6 @@ def _r3_legal(code, trio, labelsets):
     for (ci, p, q), (la, lb) in zip(trio, labelsets):
         comp = code.components[ci]
         strand_info.append(((la, comp[p].passage), (lb, comp[q].passage)))
-    labs = sorted({l for ls in labelsets for l in ls})
     # over strand index at each crossing + transitivity of the over relation
     over_count = [0, 0, 0]
     for si, info in enumerate(strand_info):
@@ -307,7 +312,7 @@ def _r3_legal(code, trio, labelsets):
     for si, info in enumerate(strand_info):
         for lab, passage in info:
             cross_strands.setdefault(lab, {})[passage] = si
-    signs = {lab: code.sign_of(lab) for lab in labs}
+    signs = label_signs(code)
     for assign in permutations(range(3)):  # strand s -> line assign[s]
         line_of = assign
         strand_at_line = {line_of[s]: s for s in range(3)}

@@ -73,25 +73,6 @@ class GaussianLaurent:
     def l1_norm(self):
         return self.re.l1_norm() + self.im.l1_norm()
 
-    def min_exp(self):
-        es = []
-        if self.re.terms:
-            es.append(self.re.min_exp())
-        if self.im.terms:
-            es.append(self.im.min_exp())
-        return min(es) if es else 0
-
-    def max_exp(self):
-        es = []
-        if self.re.terms:
-            es.append(self.re.max_exp())
-        if self.im.terms:
-            es.append(self.im.max_exp())
-        return max(es) if es else 0
-
-    def shift(self, d):
-        return GaussianLaurent(self.re.shift(d), self.im.shift(d))
-
     def exact_div(self, other):
         """Exact division by another Gaussian Laurent polynomial."""
         if other.is_zero():
@@ -194,14 +175,6 @@ class Quaternion:
             self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
         )
 
-    def l1_norm(self):
-        return (
-            self.w.l1_norm()
-            + self.x.l1_norm()
-            + self.y.l1_norm()
-            + self.z.l1_norm()
-        )
-
     def __repr__(self):
         return (
             f"Quaternion(({self.w.render()}) + ({self.x.render()})i"
@@ -221,7 +194,9 @@ def double_matrix(qmat):
     out = [[None] * (2 * m) for _ in range(2 * m)]
     for r in range(m):
         for c in range(m):
-            blk = doubling_block(qmat[r][c])
+            q = qmat[r][c]
+            # a zero quaternion's block is one shared zero entry
+            blk = doubling_block(q) if q else [[GaussianLaurent(q.w, q.x)] * 2] * 2
             for dr in range(2):
                 for dc in range(2):
                     out[2 * r + dr][2 * c + dc] = blk[dr][dc]

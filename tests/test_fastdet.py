@@ -8,6 +8,8 @@ import pytest
 from vknots.fastdet import (
     _batch_det_mod,
     _block_minors_mod,
+    _coefficient_bound,
+    _gaussian_setup,
     _is_prime,
     _primes,
     det_gaussian_many,
@@ -18,7 +20,7 @@ from vknots.laurent import LaurentPoly, LaurentPoly2
 from vknots.matrix import det_bareiss, det_cofactor
 from vknots.quaternion import GaussianLaurent
 
-from test_algebra import G_ONE, L_ONE, rand_gaussian, rand_lpoly, rand_lpoly2
+from test_algebra import G_ONE, L2_ONE, L_ONE, rand_gaussian, rand_lpoly, rand_lpoly2
 
 
 def det_laurent_many(mats, var="t"):
@@ -174,3 +176,109 @@ def test_block_minors_mod_matches_per_minor_elimination(n):
                 cols = [j for j in range(n) if j // 2 != c]
                 sub = a[np.ix_(rows, cols)][None]
                 assert fast[b, r, c] == _batch_det_mod(sub, p)[0], (n, b, r, c)
+
+
+# --- the coefficient bound ------------------------------------------------
+
+
+def _sylvester(k):
+    """The 2^k x 2^k Sylvester-Hadamard matrix: +-1 entries, orthogonal
+    rows, |det| = 2^(k 2^(k-1)), which equals Hadamard's bound."""
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+H16 = _sylvester(4)
+I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^c as (re, im)
+
+
+def _hadamard_gaussian():
+    """H16 with row r times t^r and column c times i^c: entries +-1, +-i,
+    +-t^r and +-i t^r, each of l1 norm 1, so the bound is 2^32 + 1."""
+    def entry(h, r, c):
+        a, b = I_POWERS[c % 4]
+        return GaussianLaurent(LaurentPoly({r: h * a}), LaurentPoly({r: h * b}))
+
+    return [[entry(h, r, c) for c, h in enumerate(row)] for r, row in enumerate(H16)]
+
+
+def _weights(mat):
+    """Row weights by definition: each row's sum of squared entry l1 norms."""
+    return [sum(e.l1_norm() ** 2 for e in row) for row in mat]
+
+
+def _coefficients(d):
+    if isinstance(d, GaussianLaurent):
+        return [*d.re.terms.values(), *d.im.terms.values()]
+    return list(d.terms.values())
+
+
+def test_coefficient_bound_is_tight_on_sylvester_hadamard():
+    mat = _hadamard_gaussian()
+    weights = _gaussian_setup(mat)[3]
+    assert weights == _weights(mat) == [16] * 16
+    assert _coefficient_bound(weights) == 2**32 + 1
+    (d,) = det_gaussian_many([mat])
+    assert d == det_bareiss(mat, G_ONE)
+    assert max(abs(c) for c in _coefficients(d)) == 2**32
+
+
+def test_block_minors_of_sylvester_hadamard():
+    mat = _hadamard_gaussian()
+    selections = [
+        (tuple(x for x in range(16) if x // 2 != r),
+         tuple(y for y in range(16) if y // 2 != c))
+        for r in range(8)
+        for c in range(8)
+    ]
+    fast = det_gaussian_submatrices(mat, selections)
+    for (rows, cols), d in zip(selections, fast):
+        sub = [[mat[r][c] for c in cols] for r in rows]
+        assert d == det_bareiss(sub, G_ONE)
+    assert any(not d.is_zero() for d in fast)
+
+
+def test_det_laurent2_of_sylvester_hadamard():
+    # row r times s^r, column c times t^c
+    mat = [
+        [LaurentPoly2({(r, c): h}) for c, h in enumerate(row)]
+        for r, row in enumerate(H16)
+    ]
+    assert _coefficient_bound(_weights(mat)) == 2**32 + 1
+    d = det_laurent2(mat)
+    assert d == det_bareiss(mat, L2_ONE)
+    assert max(abs(c) for c in _coefficients(d)) == 2**32
+
+
+def _scaled(rng, e):
+    """e with every coefficient times up to 10^8: determinants then cross
+    the sizes at which the engine takes one more prime."""
+    k = 10 ** rng.randint(0, 8)
+    if isinstance(e, GaussianLaurent):
+        return GaussianLaurent(_scaled_poly(e.re, k), _scaled_poly(e.im, k))
+    return _scaled_poly(e, k)
+
+
+def _scaled_poly(p, k):
+    if isinstance(p, LaurentPoly2):
+        return LaurentPoly2({e: c * k for e, c in p.terms.items()})
+    return LaurentPoly({e: c * k for e, c in p.terms.items()}, p.var)
+
+
+def test_coefficient_bound_covers_bareiss_coefficients(rng):
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            g = [[_scaled(rng, rand_gaussian(rng)) for _ in range(n)] for _ in range(n)]
+            assert _gaussian_setup(g)[3] == _weights(g)
+            dg = det_bareiss(g, G_ONE)
+            bound = _coefficient_bound(_weights(g))
+            assert all(abs(c) <= bound for c in _coefficients(dg))
+            assert det_gaussian_many([g])[0] == dg
+
+            s = [[_scaled(rng, rand_lpoly2(rng)) for _ in range(n)] for _ in range(n)]
+            ds = det_bareiss(s, L2_ONE)
+            bound = _coefficient_bound(_weights(s))
+            assert all(abs(c) <= bound for c in _coefficients(ds))
+            assert det_laurent2(s) == ds

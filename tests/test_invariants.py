@@ -410,6 +410,26 @@ def test_codim1_gcd_matches_bareiss_sweep():
         assert codim1_gcd(qmat) == _bareiss_codim1_gcd(qmat), code
 
 
+def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
+    calls = []
+    real = invariants.det_gaussian_submatrices
+
+    def counting(mat, selections, var="t"):
+        calls.append(len(selections))
+        return real(mat, selections, var)
+
+    monkeypatch.setattr(invariants, "det_gaussian_submatrices", counting)
+    for code in _quaternionic_codes(5, 4, seed=33):
+        qmat = quaternionic_matrix(code)
+        calls.clear()
+        assert codim1_gcd(qmat) == _sweep_codim1_gcd(qmat), code
+        assert calls == [len(qmat) ** 2], code
+    calls.clear()
+    study, gcd = quaternionic_invariant(parse_gauss(KISHINO))
+    assert (study.render(), gcd.render()) == ("0", "2 + 5*t^2 + 2*t^4")
+    assert calls == [len(quaternionic_matrix(parse_gauss(KISHINO))) ** 2]
+
+
 def test_quaternionic_two_free_circles():
     study, gcd = quaternionic_invariant(parse_gauss("()/()"))
     assert study.is_zero()
