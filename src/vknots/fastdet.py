@@ -17,34 +17,50 @@ Gaussian-integer coefficients are handled with primes p = 1 (mod 4): the
 two ring maps i -> +/- sqrt(-1) (mod p) give conjugate evaluations whose
 half-sum and half-difference separate the real and imaginary parts.
 
-Coefficient bound.  On |t| = 1 an entry is at most its coefficient l1
-norm in absolute value, so by Hadamard's inequality |det| <= prod_r
-(sum_j l1(e_rj)^2)^(1/2) there, and each coefficient of det, a Fourier
-coefficient on the circle, obeys the same bound (Goldstein & Graham, "A
-Hadamard-type bound on the coefficients of a determinant of polynomials",
-SIAM Review 16, 1974); the torus |s| = |t| = 1 gives it for two variables.
-Monomial row shifts keep |entry| on the circle and deleting columns only
-lowers row norms, so one bound from the rows serves every shifted matrix
-and every submatrix on those rows.  It is kept exact as
-isqrt(prod_r sum_j l1(e_rj)^2) + 1, and the primes are chosen so that
-their product exceeds twice it.
+Coefficient bound.  On |t| = 1 an entry e = sum_k c_k t^k with K nonzero
+coefficients has |e| <= sum_k |c_k|.  The square of that is at most
+l1(e)^2 = (sum_k |Re c_k| + |Im c_k|)^2 and, by Cauchy-Schwarz, at most
+K sum_k |c_k|^2; the smaller of these two integers is the entry's weight
+(for real coefficients it is always l1(e)^2, for a single term c t^k it is
+|c|^2).  By Hadamard's inequality |det| <= prod_r (sum_j weight(e_rj))^(1/2)
+there, and each coefficient of det, a Fourier coefficient on the circle,
+obeys the same bound (Goldstein & Graham, "A Hadamard-type bound on the
+coefficients of a determinant of polynomials", SIAM Review 16, 1974); the
+torus |s| = |t| = 1 gives it for two variables.  Monomial row shifts keep
+|entry| on the circle and deleting columns only lowers row norms, so one
+bound from the rows serves every shifted matrix and every submatrix on
+those rows.  It is kept exact as isqrt(prod_r sum_j weight(e_rj)) + 1, and
+the primes are chosen so that their product exceeds twice it.
 
 Block minors.  The quaternionic pair needs, for an N x N doubled matrix
-(N = 2m), the m^2 minors that delete one 2 x 2 block row r and one block
-column c.  ``det_gaussian_submatrices`` recognises these selections and,
-at every evaluation point, gets all of them from one division-free
-Gauss-Jordan elimination of [A | I] mod p.  The rule is picked by the rank
-of the evaluated matrix A over F_p:
+(N = 2m), det A and the m^2 minors that delete one 2 x 2 block row r and
+one block column c.  ``det_gaussian_submatrices`` recognises these
+selections (the full one included) and, at every evaluation point, gets
+all of them from one division-free Gauss-Jordan elimination T [A | I] =
+[R | T] mod p, with det T = sign * lead^N (lead the product of the
+pivots) and d the pivots left on R's diagonal.  The degree and
+coefficient bounds of the full selection cover every minor, so with it
+present one set of evaluation points and primes serves all.  The rule is
+picked by the rank of the evaluated matrix A over F_p:
 
-* rank N (Jacobi's complementary-minor identity):
-  minor(r, c) = det A * det (A^-1)[{2c, 2c+1}, {2r, 2r+1}]; the sign
-  (-1)^(sum of the deleted indices) is + for block deletions;
-* rank N-2: the (N-2)-th compound of A has rank one, so
-  minor(r, c) = kappa * u_r * w_c, where u and w are the block 2 x 2
-  Pluecker coordinates of the left and right kernels and kappa comes from
-  one directly eliminated nonzero minor;
-* rank < N-2: every minor is 0;
-* rank N-1: the minors of that matrix are eliminated one by one.
+* rank N: det A = prod(d) / det T, and by Jacobi's complementary-minor
+  identity minor(r, c) = det A * det (A^-1)[{2c, 2c+1}, {2r, 2r+1}]
+  (the sign (-1)^(sum of the deleted indices) is + for block deletions);
+* rank N-2: det A = 0, and
+  minor(r, c) = (-1)^(f1+f2+1) u_r w_c / (prod(d) det T), where f1 < f2
+  are R's free columns, u_r is the 2 x 2 minor on block r of the last two
+  rows of T (a basis of the left kernel), and w_c that of the right
+  kernel y with y_f = prod(d) on the free columns and
+  y_{pc_i} = -R[i, f] prod_{j != i} d_j on the pivot columns.  Proof
+  sketch: Cauchy-Binet on T A = R gives C(A) = C(T)^-1 C(R) for the
+  (N-2)-th compounds.  C(R) has a single nonzero row, the (N-2)-minors of
+  R's pivot rows, and the complementary Pluecker identity (normalised at
+  the pivot columns, where that minor is prod(d)) makes the one deleting
+  block c equal to (-1)^(f1+f2+1) w_c / prod(d).  Jacobi's identity makes
+  the matching entry of C(T)^-1 equal to u_r / det T.  No minor is
+  eliminated on its own, and u = 0 or w = 0 gives all minors 0;
+* rank < N-2: det A and every minor are 0;
+* rank N-1: det A = 0 and the minors are eliminated one by one.
 
 Each rule is an identity over F_p, so every value is exact whatever the
 generic rank of the polynomial matrix (Horn & Johnson, *Matrix Analysis*,
@@ -54,6 +70,7 @@ section 0.8).  No floating point is involved anywhere.
 from __future__ import annotations
 
 from math import isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,18 +277,53 @@ def _pluecker2(x):
     return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
 
 
-def _block_minors_mod(a, p):
-    """All block-deleted minors of a stack of N x N matrices mod p (N = 2m).
+def _corank2_factors(M, pivotal, sign, lead, p):
+    """(u, w, kappa) with minor(r, c) = kappa * u_r * w_c for a stack of
+    Gauss-Jordan results [R | T] of N x N matrices of rank N - 2.
 
-    Returns out of shape (B, m, m): out[b, r, c] is the determinant of a[b]
-    without rows 2r, 2r+1 and columns 2c, 2c+1.  One Gauss-Jordan
-    elimination serves every minor of a matrix; see the module docstring
-    for the rule used at each rank.
+    u (B, m) and w (B, m) are the block 2 x 2 Pluecker coordinates of the
+    left kernel (the last two rows of T) and of the right kernel y, scaled
+    by prod(d) and read off the free columns f1 < f2 of R; kappa (B,) is
+    (-1)^(f1 + f2 + 1) / (prod(d) * det T).  See the module docstring.
+    """
+    L, n, _ = M.shape
+    m = n // 2
+    u = _pluecker2(M[:, n - 2 :, n:].reshape(L, 2, m, 2).transpose(0, 2, 1, 3)) % p
+    # y_f = prod(d) on the free columns, y_{pc_i} = -R[i, f] * prod_{j != i} d_j
+    pc = np.nonzero(pivotal)[1].reshape(L, n - 2)
+    fc = np.nonzero(~pivotal)[1].reshape(L, 2)
+    R = M[:, : n - 2, :n]
+    d = np.take_along_axis(R, pc[:, :, None], axis=2)[:, :, 0]
+    rf = np.take_along_axis(R, fc[:, None, :], axis=2)
+    y = np.zeros((L, n, 2), dtype=np.int64)
+    li = np.arange(L)
+    y[li[:, None], pc] = -rf * _products_but_one(d, p)[:, :, None] % p
+    dprod = np.ones(L, dtype=np.int64)
+    for i in range(n - 2):
+        dprod = dprod * d[:, i] % p
+    y[li, fc[:, 0], 0] = dprod
+    y[li, fc[:, 1], 1] = dprod
+    w = _pluecker2(y.reshape(L, m, 2, 2)) % p
+    det_t = sign * _modpow(lead, n, p) % p
+    kappa = _modpow(dprod * det_t % p, p - 2, p)
+    neg = (fc[:, 0] + fc[:, 1]) % 2 == 0
+    kappa[neg] = p - kappa[neg]
+    return u, w, kappa
+
+
+def _block_minors_mod(a, p):
+    """det A and all block-deleted minors of a stack of N x N matrices mod
+    p (N = 2m).
+
+    Returns (det, out) of shapes (B,) and (B, m, m): out[b, r, c] is the
+    determinant of a[b] without rows 2r, 2r+1 and columns 2c, 2c+1.  One
+    Gauss-Jordan elimination serves det A and every minor of a matrix; see
+    the module docstring for the rule used at each rank.
     """
     a = np.array(a, dtype=np.int64) % p
     B, n, _ = a.shape
     m = n // 2
-    keep = _block_keep(m)
+    det = np.zeros(B, dtype=np.int64)
     out = np.zeros((B, m, m), dtype=np.int64)
     M, rank, pivotal, sign, lead = _gauss_jordan_mod(a, p)
 
@@ -283,54 +335,28 @@ def _block_minors_mod(a, p):
         Mf = M[full]
         diag = np.arange(n)
         d = Mf[:, diag, diag].reshape(F, m, 2)
-        excl = _products_but_one(d[:, :, 0] * d[:, :, 1] % p, p)  # (F, m) over c
+        dblk = d[:, :, 0] * d[:, :, 1] % p
+        excl = _products_but_one(dblk, p)  # (F, m) over c
         T = Mf[:, :, n:].reshape(F, m, 2, m, 2).transpose(0, 3, 1, 2, 4)
         tdet = _pluecker2(T) % p  # (F, r, c): det T[blk c, blk r]
         coef = sign[full] * _modpow(lead[full], p - 1 - n, p) % p
         out[full] = tdet * excl[:, None, :] % p * coef[:, None, None] % p
+        det[full] = excl[:, 0] * dblk[:, 0] % p * coef % p
 
     low = np.nonzero(rank == n - 2)[0]
     if low.size:
-        L = low.size
-        Ml = M[low]
-        # left kernel: the last two rows of T
-        u = _pluecker2(Ml[:, n - 2 :, n:].reshape(L, 2, m, 2).transpose(0, 2, 1, 3)) % p
-        # right kernel from the free columns f of R: y_f = prod(d),
-        # y_{pc_i} = -R[i, f] * prod_{j != i} d_j (the kernel scaled by prod(d))
-        pc = np.nonzero(pivotal[low])[1].reshape(L, n - 2)
-        fc = np.nonzero(~pivotal[low])[1].reshape(L, 2)
-        R = Ml[:, : n - 2, :n]
-        d = np.take_along_axis(R, pc[:, :, None], axis=2)[:, :, 0]
-        rf = np.take_along_axis(R, fc[:, None, :], axis=2)
-        y = np.zeros((L, n, 2), dtype=np.int64)
-        li = np.arange(L)
-        y[li[:, None], pc] = -rf * _products_but_one(d, p)[:, :, None] % p
-        dprod = np.ones(L, dtype=np.int64)
-        for i in range(n - 2):
-            dprod = dprod * d[:, i] % p
-        y[li, fc[:, 0], 0] = dprod
-        y[li, fc[:, 1], 1] = dprod
-        w = _pluecker2(y.reshape(L, m, 2, 2)) % p
-        ok = u.any(axis=1) & w.any(axis=1)
-        if ok.any():
-            sel, u, w = low[ok], u[ok], w[ok]
-            si = np.arange(sel.size)
-            r0 = (u != 0).argmax(axis=1)
-            c0 = (w != 0).argmax(axis=1)
-            sub = a[sel[:, None, None], keep[r0][:, :, None], keep[c0][:, None, :]]
-            kappa = (
-                _batch_det_mod(sub, p)
-                * _modpow(u[si, r0] * w[si, c0] % p, p - 2, p)
-                % p
-            )
-            out[sel] = kappa[:, None, None] * u[:, :, None] % p * w[:, None, :] % p
+        u, w, kappa = _corank2_factors(
+            M[low], pivotal[low], sign[low], lead[low], p
+        )
+        out[low] = kappa[:, None, None] * u[:, :, None] % p * w[:, None, :] % p
 
     mid = np.nonzero(rank == n - 1)[0]
     if mid.size:
+        keep = _block_keep(m)
         subs = a[mid][:, keep[:, None, :, None], keep[None, :, None, :]]
         subs = subs.reshape(mid.size * m * m, n - 2, n - 2)
         out[mid] = _chunked_det(subs, p).reshape(mid.size, m, m)
-    return out
+    return det, out
 
 
 def _vand_inv(npoints, p):
@@ -389,47 +415,77 @@ def _point_powers(npoints, maxdeg, p):
 
 def _coefficient_bound(weights):
     """Bound on every coefficient of a determinant whose rows have the
-    given weights (a row's weight is the sum of its entries' squared l1
-    norms); see the module docstring."""
+    given weights (a row's weight is the sum of its entries' weights);
+    see the module docstring."""
     return isqrt(prod(weights)) + 1
 
 
-def _gaussian_setup(mat):
-    """Shift, degree, weight and coefficients of every row of a square
-    matrix over Z[i][t, t^-1], from one pass over its nonzero entries.
+class GaussianSetup(NamedTuple):
+    """A square matrix over Z[i][t, t^-1] in the form the engine reads.
 
-    Each row is shifted by a monomial so its least exponent is 0.  Returns
-    (coeffs, shifts, row degrees, row weights): coeffs[0] and coeffs[1]
-    hold the real and imaginary coefficients, shape (n, n, deg + 1), as
-    int64, or as Python ints when one does not fit, so that every
-    coefficient reduces exactly mod p.  A zero row has shift 0, degree 0
-    and weight 0.
+    Each row is shifted by a monomial so its least exponent is 0.
+    coeffs[0] and coeffs[1] hold the real and imaginary coefficients,
+    shape (n, n, deg + 1), as int64, or as Python ints when one does not
+    fit, so that every coefficient reduces exactly mod p.  shifts, degs
+    and weights are per-row lists of Python ints: the shift, the degree
+    after shifting and the weight (see _coefficient_bound).  A zero row
+    has shift 0, degree 0 and weight 0.
     """
-    n = len(mat)
-    shifts, degs, weights, terms = [], [], [], []
-    for r, row in enumerate(mat):
-        ents = [(c, e.re.terms, e.im.terms) for c, e in enumerate(row)
-                if e.re.terms or e.im.terms]
-        exps = [d for _c, re, im in ents for d in (*re, *im)]
-        lo = min(exps, default=0)
-        shifts.append(lo)
-        degs.append(max(exps, default=0) - lo)
-        w = 0
-        for c, re, im in ents:
-            l1 = 0
-            for part, tbl in ((0, re), (1, im)):
-                for d, v in tbl.items():
-                    terms.append((part, r, c, d - lo, v))
-                    l1 += abs(v)
-            w += l1 * l1
-        weights.append(w)
-    small = all(-(2**63) < t[4] < 2**63 for t in terms)
+
+    coeffs: np.ndarray
+    shifts: list
+    degs: list
+    weights: list
+
+
+def gaussian_setup_from_terms(n, terms):
+    """The GaussianSetup of the n x n matrix over Z[i][t, t^-1] that is the
+    sum of the given terms (part, row, col, exponent, value), part 0 real
+    and 1 imaginary.  Terms at one place add up, and shifts, degrees and
+    weights are read from the sums, one pass over them.
+    """
+    acc = {}
+    for part, r, c, d, v in terms:
+        key = (part, r, c, d)
+        acc[key] = acc.get(key, 0) + v
+    acc = {k: v for k, v in acc.items() if v}
+    lo, hi = {}, {}
+    entries = {}  # (r, c) -> [l1, sum of squares, exponents]
+    for (_part, r, c, d), v in acc.items():
+        lo[r] = min(lo.get(r, d), d)
+        hi[r] = max(hi.get(r, d), d)
+        ent = entries.setdefault((r, c), [0, 0, set()])
+        ent[0] += abs(v)
+        ent[1] += v * v
+        ent[2].add(d)
+    shifts = [lo.get(r, 0) for r in range(n)]
+    degs = [hi.get(r, 0) - shifts[r] for r in range(n)]
+    weights = [0] * n
+    for (r, _c), (l1, sq, exps) in entries.items():
+        weights[r] += min(l1 * l1, len(exps) * sq)
+    small = all(-(2**63) < v < 2**63 for v in acc.values())
     coeffs = np.zeros((2, n, n, max(degs, default=0) + 1),
                       dtype=np.int64 if small else object)
-    if terms:
-        part, rows, cols, exps, vals = zip(*terms)
-        coeffs[part, rows, cols, exps] = vals
-    return coeffs, shifts, degs, weights
+    if acc:
+        part, rows, cols, exps = zip(*acc)
+        coeffs[part, rows, cols, [d - shifts[r] for r, d in zip(rows, exps)]] = list(
+            acc.values()
+        )
+    return GaussianSetup(coeffs, shifts, degs, weights)
+
+
+def _gaussian_setup(mat):
+    """The GaussianSetup of a square matrix over Z[i][t, t^-1]."""
+    return gaussian_setup_from_terms(
+        len(mat),
+        [
+            (part, r, c, d, v)
+            for r, row in enumerate(mat)
+            for c, e in enumerate(row)
+            for part, tbl in ((0, e.re.terms), (1, e.im.terms))
+            for d, v in tbl.items()
+        ],
+    )
 
 
 def _evaluate(coeffs, P, p, root):
@@ -520,19 +576,23 @@ def det_gaussian_submatrices(mat, selections, var="t"):
     """Exact determinants of many square submatrices of one matrix over
     Z[i][t, t^-1].
 
-    selections is a list of (rows, cols) index tuples (equal lengths).
-    The base matrix is evaluated once per prime and each submatrix is a
-    slice of the evaluated stack.  Selections that delete one 2 x 2 block
-    row and one block column of an even-sized matrix are all read off one
-    Gauss-Jordan elimination per evaluation point (see the module
+    mat is the matrix, or its GaussianSetup when the caller has built that
+    already.  selections is a list of (rows, cols) index tuples (equal
+    lengths).  The base matrix is evaluated once per prime and each
+    submatrix is a slice of the evaluated stack.  For an even-sized
+    matrix, the full selection (every row and column) and the selections
+    that delete one 2 x 2 block row and one block column are all read off
+    one Gauss-Jordan elimination per evaluation point (see the module
     docstring); any other selection is eliminated on its own.
     """
-    n = len(mat)
+    coeffs, shifts, degs, weights = (
+        mat if isinstance(mat, GaussianSetup) else _gaussian_setup(mat)
+    )
+    n = len(shifts)
     if n == 0:
         return [GaussianLaurent.const(1, 0, var) for _ in selections]
     zero = GaussianLaurent(LaurentPoly({}, var), LaurentPoly({}, var))
     results = [zero] * len(selections)
-    coeffs, shifts, degs, weights = _gaussian_setup(mat)
     zero_rows = {r for r, w in enumerate(weights) if not w}
     live = [
         (i, tuple(rows), tuple(cols))
@@ -544,11 +604,11 @@ def det_gaussian_submatrices(mat, selections, var="t"):
     row_shift = {rows: sum(shifts[r] for r in rows) for _i, rows, _cols in live}
     D = max(sum(degs[r] for r in rows) for rows in row_shift)
     L = max(_coefficient_bound(weights[r] for r in rows) for rows in row_shift)
-    block_of = (
-        {tuple(k): r for r, k in enumerate(_block_keep(n // 2).tolist())}
-        if n % 2 == 0
-        else {}
-    )
+    m = n // 2
+    block_of = {}  # block r deleted -> r; the full selection -> m
+    if n % 2 == 0:
+        block_of = {tuple(k): r for r, k in enumerate(_block_keep(m).tolist())}
+        block_of[tuple(range(n))] = m
     blocks, direct = [], {}
     for j, (_i, rows, cols) in enumerate(live):
         rc = (block_of.get(rows), block_of.get(cols))
@@ -562,7 +622,10 @@ def det_gaussian_submatrices(mat, selections, var="t"):
         vals = np.empty((2 * P, len(live)), dtype=np.int64)
         if blocks:
             js, rs, cs = (list(x) for x in zip(*blocks))
-            vals[:, js] = _block_minors_mod(stack, p)[:, rs, cs]
+            det, minors = _block_minors_mod(stack, p)
+            table = np.pad(minors, ((0, 0), (0, 1), (0, 1)))
+            table[:, m, m] = det
+            vals[:, js] = table[:, rs, cs]
         for js in direct.values():
             subs = np.concatenate(
                 [stack[:, list(live[j][1])][:, :, list(live[j][2])] for j in js]
@@ -579,47 +642,51 @@ def det_gaussian_submatrices(mat, selections, var="t"):
 
 
 def det_laurent2(mat):
-    """Exact determinant of a matrix over Z[s, s^-1, t, t^-1]."""
+    """Exact determinant of a matrix over Z[s, s^-1, t, t^-1].
+
+    Each row is read once, as in _gaussian_setup: it is shifted by a
+    monomial so its least s and t exponents are 0, and its terms go
+    straight into one coefficient array (int64 when every coefficient
+    fits).
+    """
     n = len(mat)
     if n == 0:
         return LaurentPoly2.const(1)
-    shifted, tshift, sshift = [], 0, 0
-    Ds = Dt = 0
-    weights = []
-    for row in mat:
-        nz = [e for e in row if e]
-        if not nz:
+    sshift = tshift = Ds = Dt = eds = edt = 0
+    weights, terms = [], []
+    for r, row in enumerate(mat):
+        ents = [(c, e.terms) for c, e in enumerate(row) if e.terms]
+        if not ents:
             return LaurentPoly2({})
-        vs = min(e.min_exps()[0] for e in nz)
-        vt = min(e.min_exps()[1] for e in nz)
+        ss = [a for _c, tbl in ents for a, _b in tbl]
+        ts = [b for _c, tbl in ents for _a, b in tbl]
+        vs, vt = min(ss), min(ts)
+        ds, dt = max(ss) - vs, max(ts) - vt
         sshift += vs
         tshift += vt
-        srow = [e.shift(-vs, -vt) for e in row]
-        shifted.append(srow)
-        Ds += max(e.max_exps()[0] for e in srow if e)
-        Dt += max(e.max_exps()[1] for e in srow if e)
-        weights.append(sum(e.l1_norm() ** 2 for e in srow))
-    eds = max((e.max_exps()[0] for row in shifted for e in row if e), default=0)
-    edt = max((e.max_exps()[1] for row in shifted for e in row if e), default=0)
-    coeffs = [
-        [
-            [
-                [e.terms.get((a, b), 0) for b in range(edt + 1)]
-                for a in range(eds + 1)
-            ]
-            for e in row
-        ]
-        for row in shifted
-    ]
+        Ds += ds
+        Dt += dt
+        eds, edt = max(eds, ds), max(edt, dt)
+        w = 0
+        for c, tbl in ents:
+            l1 = 0
+            for (a, b), v in tbl.items():
+                terms.append((r, c, a - vs, b - vt, v))
+                l1 += abs(v)
+            w += l1 * l1
+        weights.append(w)
+    small = all(-(2**63) < t[4] < 2**63 for t in terms)
+    C = np.zeros((n, n, eds + 1, edt + 1), dtype=np.int64 if small else object)
+    rows, cols, ea, eb, vals = zip(*terms)
+    C[rows, cols, ea, eb] = vals
     Ps, Pt = Ds + 1, Dt + 1
     primes = _primes(_num_primes_for(_coefficient_bound(weights)))
     grids = []
     for p, _root in primes:
-        C = (np.array(coeffs, dtype=object) % p).astype(np.int64)
         XS = _point_powers(Ps, eds, p)
         XT = _point_powers(Pt, edt, p)
         # vals[r, c, a, b] = sum_{i,j} C[r,c,i,j] * s_a^i * t_b^j
-        v = np.tensordot(C, XT, axes=([3], [1])) % p  # (n, n, eds+1, Pt)
+        v = np.tensordot((C % p).astype(np.int64), XT, axes=([3], [1])) % p
         v = np.tensordot(v, XS, axes=([2], [1])) % p  # (n, n, Pt, Ps)
         stack = v.transpose(3, 2, 0, 1).reshape(Ps * Pt, n, n)
         dets = _batch_det_mod(stack, p).reshape(Ps, Pt)
@@ -629,10 +696,11 @@ def det_laurent2(mat):
         grid = grid @ Vtinv.T % p
         grids.append(grid)
     coef = _crt_symmetric(grids, [p for p, _ in primes])
-    terms = {
-        (a, b): int(coef[a, b])
-        for a in range(Ps)
-        for b in range(Pt)
-        if coef[a, b]
-    }
-    return LaurentPoly2(terms).shift(sshift, tshift)
+    return LaurentPoly2(
+        {
+            (a + sshift, b + tshift): int(coef[a, b])
+            for a in range(Ps)
+            for b in range(Pt)
+            if coef[a, b]
+        }
+    )

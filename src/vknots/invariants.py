@@ -10,7 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import BudgetError, read_budget
-from .fastdet import det_gaussian_many, det_gaussian_submatrices, det_laurent2
+from .fastdet import (
+    det_gaussian_many,
+    det_gaussian_submatrices,
+    det_laurent2,
+    gaussian_setup_from_terms,
+)
 from .gausscode import diagram_pieces, edge_structure, label_signs
 from .laurent import (
     LaurentPoly,
@@ -19,7 +24,7 @@ from .laurent import (
     normalize_unit,
     poly_gcd,
 )
-from .quaternion import Quaternion, double_matrix
+from .quaternion import GaussianLaurent, Quaternion, double_matrix
 
 # --- state smoothing geometry ---------------------------------------------
 #
@@ -266,36 +271,70 @@ def _q(w=0, x=0, y=0, z=0, tpow=0):
     )
 
 
+def _quaternionic_terms(code, es, signs):
+    """(row, column, w, x, y, tpow) for each term (w + x i + y j) t^tpow
+    of the quaternionic relation matrix, one pair of rows per crossing."""
+    terms = []
+    for k, label in enumerate(code.labels):
+        o_in, o_out, u_in, u_out = es.crossing_edges[label]
+        eps = 1 if signs[label] > 0 else -1
+        r1, r2 = 2 * k, 2 * k + 1
+        terms += [
+            # c - (j t^eps) a - (1 + eps*i) b = 0
+            (r1, u_out, 1, 0, 0, 0),
+            (r1, u_in, 0, 0, -1, eps),
+            (r1, o_in, -1, -eps, 0, 0),
+            # d - (1 + eps*i) a + (j t^-eps) b = 0
+            (r2, o_out, 1, 0, 0, 0),
+            (r2, u_in, -1, -eps, 0, 0),
+            (r2, o_in, 0, 0, 1, -eps),
+        ]
+    return terms
+
+
 def quaternionic_matrix(code):
     """Quaternionic relation matrix; zero columns for free circles."""
     es = edge_structure(code)
-    signs = label_signs(code)
     ncols = len(es.edges) + es.free_circles
     zero = _q()
-    rows = []
-    for label in code.labels:
-        o_in, o_out, u_in, u_out = es.crossing_edges[label]
-        eps = 1 if signs[label] > 0 else -1
-        # c - (j t^eps) a - (1 + eps*i) b = 0
-        row1 = [zero for _ in range(ncols)]
-        row1[u_out] = row1[u_out] + _q(w=1)
-        row1[u_in] = row1[u_in] - _q(y=1, tpow=eps)
-        row1[o_in] = row1[o_in] - (_q(w=1) + _q(x=eps))
-        # d - (1 + eps*i) a + (j t^-eps) b = 0
-        row2 = [zero for _ in range(ncols)]
-        row2[o_out] = row2[o_out] + _q(w=1)
-        row2[u_in] = row2[u_in] - (_q(w=1) + _q(x=eps))
-        row2[o_in] = row2[o_in] + _q(y=1, tpow=-eps)
-        rows.append(row1)
-        rows.append(row2)
+    rows = [[zero] * ncols for _ in range(2 * code.n_crossings)]
+    for r, c, w, x, y, tpow in _quaternionic_terms(code, es, label_signs(code)):
+        rows[r][c] = rows[r][c] + _q(w, x, y, 0, tpow)
     return rows
 
 
+def doubled_setup(code):
+    """The determinant engine's GaussianSetup of the complex doubling of
+    the quaternionic relation matrix without its free-circle columns,
+    built from the relation terms without quaternion objects.
+
+    Equal to _gaussian_setup(double_matrix(...)) of that matrix: the term
+    (w + x i + y j) t^e adds the doubling block [[w + x i, y], [-y,
+    w - x i]] t^e, and terms landing on one entry (a kink) accumulate.
+    """
+    es = edge_structure(code)
+    terms = []
+    for r, c, w, x, y, e in _quaternionic_terms(code, es, label_signs(code)):
+        r, c = 2 * r, 2 * c
+        terms += [
+            (0, r, c, e, w), (1, r, c, e, x), (0, r, c + 1, e, y),
+            (0, r + 1, c, e, -y), (0, r + 1, c + 1, e, w), (1, r + 1, c + 1, e, -x),
+        ]
+    return gaussian_setup_from_terms(2 * len(es.edges), terms)
+
+
 def study_determinant(qmat):
-    """Determinant of the complex doubling; must come out real."""
-    if not qmat:
+    """Determinant of the complex doubling; must come out real.
+
+    qmat is a quaternionic matrix, or the doubling's determinant as a
+    GaussianLaurent when the engine has computed it already.
+    """
+    if isinstance(qmat, GaussianLaurent):
+        d = qmat
+    elif not qmat:
         return LaurentPoly.const(1)
-    d = det_gaussian_many([double_matrix(qmat)])[0]
+    else:
+        d = det_gaussian_many([double_matrix(qmat)])[0]
     if not d.im.is_zero():
         raise ArithmeticError("non-real Study determinant")
     return d.re
@@ -311,6 +350,15 @@ def _fold_study_gcd(g, dets):
     return g
 
 
+def _codim1_selections(m):
+    """The m^2 block deletions of a 2m x 2m doubling, diagonal ones first:
+    the gcd fold stops at 1, and the diagonal minors often reach it."""
+    keep = [tuple(i for i in range(2 * m) if i // 2 != r) for r in range(m)]
+    pairs = [(r, r) for r in range(m)]
+    pairs += [(r, c) for r in range(m) for c in range(m) if r != c]
+    return [(keep[r], keep[c]) for r, c in pairs]
+
+
 def codim1_gcd(qmat):
     """gcd in Z[t] of the Study determinants of all first minors,
     normalized to t-valuation 0 and positive leading coefficient.
@@ -322,11 +370,7 @@ def codim1_gcd(qmat):
     m = len(qmat)
     if m == 0:
         return LaurentPoly.const(1)
-    keep = [tuple(i for i in range(2 * m) if i // 2 != r) for r in range(m)]
-    pairs = [(r, r) for r in range(m)]
-    pairs += [(r, c) for r in range(m) for c in range(m) if r != c]
-    selections = [(keep[r], keep[c]) for r, c in pairs]
-    dets = det_gaussian_submatrices(double_matrix(qmat), selections)
+    dets = det_gaussian_submatrices(double_matrix(qmat), _codim1_selections(m))
     return _fold_study_gcd(LaurentPoly({}), dets)
 
 
@@ -338,26 +382,27 @@ def quaternionic_invariant(code):
     circle component contributes a relation-free generator: the Study
     determinant is then 0, and the gcd drops to the next elementary ideal
     (0 as soon as two such generators exist).
+
+    The doubling's determinant and all its block-deleted minors come from
+    one engine call on one coefficient-array build.
     """
     free = _free_circles(code)
-    qmat = quaternionic_matrix(code)  # one row per edge
-    if free == 0:
-        if not qmat:
-            return (LaurentPoly({}), LaurentPoly.const(1))
-        sd = normalize_leadpos(study_determinant(qmat))
-        return (sd, codim1_gcd(qmat))
-    if not qmat:
-        # free circles only: free module of rank = #circles
-        if free == 1:
-            return (LaurentPoly({}), LaurentPoly.const(1))
-        return (LaurentPoly({}), LaurentPoly({}))
     if free >= 2:
         return (LaurentPoly({}), LaurentPoly({}))
-    # one free circle next to crossings: E_0 = 0; E_1 = the square
-    # determinant left after deleting the zero column.
-    square = [row[: len(qmat)] for row in qmat]
-    sd = normalize_leadpos(study_determinant(square))
-    return (LaurentPoly({}), sd)
+    if not code.n_crossings:
+        # no relations: a free module of rank free <= 1
+        return (LaurentPoly({}), LaurentPoly.const(1))
+    setup = doubled_setup(code)
+    n = len(setup.shifts)
+    everything = (tuple(range(n)), tuple(range(n)))
+    if free:
+        # one free circle next to crossings: E_0 = 0; E_1 = the square
+        # determinant left after deleting the zero column.
+        (det,) = det_gaussian_submatrices(setup, [everything])
+        return (LaurentPoly({}), normalize_leadpos(study_determinant(det)))
+    dets = det_gaussian_submatrices(setup, [everything, *_codim1_selections(n // 2)])
+    sd = normalize_leadpos(study_determinant(dets[0]))
+    return (sd, _fold_study_gcd(LaurentPoly({}), dets[1:]))
 
 
 # --- atom profile -----------------------------------------------------------

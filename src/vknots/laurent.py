@@ -124,9 +124,6 @@ class LaurentPoly:
     def max_exp(self):
         return max(self.terms) if self.terms else 0
 
-    def l1_norm(self):
-        return sum(abs(c) for c in self.terms.values())
-
     def exact_div(self, other):
         """Exact division; raises if the quotient is not in the ring."""
         if other.is_zero():
@@ -249,14 +246,6 @@ class LaurentPoly2:
         if not self.terms:
             return (0, 0)
         return (min(a for a, _ in self.terms), min(b for _, b in self.terms))
-
-    def max_exps(self):
-        if not self.terms:
-            return (0, 0)
-        return (max(a for a, _ in self.terms), max(b for _, b in self.terms))
-
-    def l1_norm(self):
-        return sum(abs(c) for c in self.terms.values())
 
     def exact_div(self, other):
         if other.is_zero():

@@ -70,9 +70,6 @@ class GaussianLaurent:
         """Complex norm z * conj(z), an integer Laurent polynomial."""
         return self.re * self.re + self.im * self.im
 
-    def l1_norm(self):
-        return self.re.l1_norm() + self.im.l1_norm()
-
     def exact_div(self, other):
         """Exact division by another Gaussian Laurent polynomial."""
         if other.is_zero():

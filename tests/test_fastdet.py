@@ -9,6 +9,8 @@ from vknots.fastdet import (
     _batch_det_mod,
     _block_minors_mod,
     _coefficient_bound,
+    _corank2_factors,
+    _gauss_jordan_mod,
     _gaussian_setup,
     _is_prime,
     _primes,
@@ -112,11 +114,35 @@ def test_det_gaussian_submatrices_matches_per_minor(rng):
             assert d == det_bareiss(sub, G_ONE)
 
 
+def _gaussian_matrix_of_rank(rng, n, rank):
+    """A random n x n Gaussian-Laurent matrix that is a product of n x rank
+    and rank x n factors."""
+    x = [[rand_gaussian(rng) for _ in range(rank)] for _ in range(n)]
+    y = [[rand_gaussian(rng) for _ in range(n)] for _ in range(rank)]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            e = GaussianLaurent()
+            for k in range(rank):
+                e = e + x[i][k] * y[k][j]
+            row.append(e)
+        out.append(row)
+    return out
+
+
 def test_det_gaussian_submatrices_block_deletions(rng):
-    # deleting one 2 x 2 block row and column: the Gauss-Jordan path
-    for n in (2, 4, 6):
-        m = [[rand_gaussian(rng) for _ in range(n)] for _ in range(n)]
-        selections = [
+    # the full selection and every deletion of one 2 x 2 block row and
+    # column: the Gauss-Jordan path, at every rank rule
+    for n, rank in ((2, 2), (4, 4), (6, 6), (4, 2), (6, 4), (6, 5), (6, 3)):
+        if rank == n:
+            m = [[rand_gaussian(rng) for _ in range(n)] for _ in range(n)]
+            if n > 2:
+                m[0][0] = GaussianLaurent()  # a row swap at every point
+        else:
+            m = _gaussian_matrix_of_rank(rng, n, rank)
+        everything = (tuple(range(n)), tuple(range(n)))
+        selections = [everything] + [
             (
                 tuple(x for x in range(n) if x // 2 != i),
                 tuple(y for y in range(n) if y // 2 != j),
@@ -125,6 +151,8 @@ def test_det_gaussian_submatrices_block_deletions(rng):
             for j in range(n // 2)
         ]
         fast = det_gaussian_submatrices(m, selections)
+        assert fast[0] == det_gaussian_many([m])[0] == det_bareiss(m, G_ONE)
+        assert fast[0].is_zero() == (rank < n)
         for (rows, cols), d in zip(selections, fast):
             sub = [[m[r][c] for c in cols] for r in rows]
             assert d == det_bareiss(sub, G_ONE)
@@ -167,8 +195,79 @@ def test_block_minors_mod_matches_per_minor_elimination(n):
         for rank in range(max(n - 4, 0), n + 1)
         for _ in range(3)
     ]
+    # a zero corner forces a row swap, so det T carries the sign -1
+    swapped = [a.copy() for a in mats]
+    for a in swapped:
+        a[0, 0] = 0
+    mats += swapped
     stack = np.stack(mats)
-    fast = _block_minors_mod(stack, p)
+    det, fast = _block_minors_mod(stack, p)
+    for b, a in enumerate(mats):
+        assert det[b] == _batch_det_mod(a[None], p)[0], (n, b)
+        for r in range(m):
+            for c in range(m):
+                rows = [i for i in range(n) if i // 2 != r]
+                cols = [j for j in range(n) if j // 2 != c]
+                sub = a[np.ix_(rows, cols)][None]
+                assert fast[b, r, c] == _batch_det_mod(sub, p)[0], (n, b, r, c)
+
+
+def _kappa_by_elimination(a, u, w, p):
+    """The rule the rank-(N-2) closed form replaced: with u_r0, w_c0 the
+    first nonzero kernel coordinates, kappa = minor(r0, c0) / (u_r0 w_c0),
+    that one minor eliminated directly."""
+    n = a.shape[0]
+    r0, c0 = int(np.flatnonzero(u)[0]), int(np.flatnonzero(w)[0])
+    rows = [i for i in range(n) if i // 2 != r0]
+    cols = [j for j in range(n) if j // 2 != c0]
+    minor = int(_batch_det_mod(a[np.ix_(rows, cols)][None], p)[0])
+    return minor * pow(int(u[r0]) * int(w[c0]), p - 2, p) % p
+
+
+def _block_diagonal(rng, n, p):
+    """A random invertible n x n matrix mod p of 2 x 2 diagonal blocks."""
+    out = np.zeros((n, n), dtype=np.int64)
+    for b in range(0, n, 2):
+        while True:
+            blk = [[rng.randrange(p) for _ in range(2)] for _ in range(2)]
+            if (blk[0][0] * blk[1][1] - blk[0][1] * blk[1][0]) % p:
+                break
+        out[b : b + 2, b : b + 2] = blk
+    return out
+
+
+def _corank2_u_zero(rng, n, p):
+    """Rank n - 2 mod p (all but surely) with rows 0 and 2 zero, then
+    scrambled by block-diagonal factors on both sides.  The zero rows put
+    the left kernel across two blocks at one index each, so every block
+    coordinate u_r is 0, and the scrambling keeps it so."""
+    a = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                 dtype=np.int64)
+    a[[0, 2]] = 0
+    a = _block_diagonal(rng, n, p) @ a % p
+    return a @ _block_diagonal(rng, n, p) % p
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_corank2_closed_form_matches_second_elimination(n):
+    rng = random.Random(7100 + n)
+    p, _root = _primes(1)[0]
+    m = n // 2
+    generic = [_matrix_of_rank(rng, n, n - 2, p) for _ in range(12)]
+    u_zero = [_corank2_u_zero(rng, n, p) for _ in range(4)]
+    w_zero = [_corank2_u_zero(rng, n, p).T.copy() for _ in range(4)]
+    mats = generic + u_zero + w_zero
+    stack = np.stack(mats)
+    M, rank, pivotal, sign, lead = _gauss_jordan_mod(stack % p, p)
+    assert (rank == n - 2).all()
+    u, w, kappa = _corank2_factors(M, pivotal, sign, lead, p)
+    for b in range(len(generic)):
+        assert u[b].any() and w[b].any()
+        assert kappa[b] == _kappa_by_elimination(mats[b], u[b], w[b], p), b
+    assert not u[len(generic) : len(generic) + len(u_zero)].any()
+    assert not w[len(generic) + len(u_zero) :].any()
+    det, fast = _block_minors_mod(stack, p)
+    assert not det.any()
     for b, a in enumerate(mats):
         for r in range(m):
             for c in range(m):
@@ -194,19 +293,37 @@ H16 = _sylvester(4)
 I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^c as (re, im)
 
 
-def _hadamard_gaussian():
-    """H16 with row r times t^r and column c times i^c: entries +-1, +-i,
-    +-t^r and +-i t^r, each of l1 norm 1, so the bound is 2^32 + 1."""
+def _hadamard_gaussian(factor=(1, 0)):
+    """H16 with row r times t^r, column c times i^c and every entry times
+    the Gaussian integer factor = (re, im).  With factor 1 the entries are
+    +-1, +-i, +-t^r and +-i t^r, each of weight 1, so the bound is
+    2^32 + 1; factor 1 + i makes every entry of weight |1 + i|^2 = 2 (not
+    l1^2 = 4) and multiplies det by (1 + i)^16 = 2^8: the bound 2^40 + 1."""
+    ua, ub = factor
+
     def entry(h, r, c):
         a, b = I_POWERS[c % 4]
-        return GaussianLaurent(LaurentPoly({r: h * a}), LaurentPoly({r: h * b}))
+        re, im = ua * a - ub * b, ua * b + ub * a
+        return GaussianLaurent(LaurentPoly({r: h * re}), LaurentPoly({r: h * im}))
 
     return [[entry(h, r, c) for c, h in enumerate(row)] for r, row in enumerate(H16)]
 
 
+def _weight(e):
+    """An entry's weight by definition: min(l1^2, K * sum |c_k|^2) over its
+    K nonzero coefficients c_k = a_k + b_k i, with l1 = sum |a_k| + |b_k|."""
+    if isinstance(e, GaussianLaurent):
+        cs = [(e.re.terms.get(d, 0), e.im.terms.get(d, 0))
+              for d in e.re.terms.keys() | e.im.terms.keys()]
+    else:
+        cs = [(a, 0) for a in e.terms.values()]
+    l1 = sum(abs(a) + abs(b) for a, b in cs)
+    return min(l1 * l1, len(cs) * sum(a * a + b * b for a, b in cs))
+
+
 def _weights(mat):
-    """Row weights by definition: each row's sum of squared entry l1 norms."""
-    return [sum(e.l1_norm() ** 2 for e in row) for row in mat]
+    """Row weights by definition: each row's sum of entry weights."""
+    return [sum(_weight(e) for e in row) for row in mat]
 
 
 def _coefficients(d):
@@ -216,13 +333,14 @@ def _coefficients(d):
 
 
 def test_coefficient_bound_is_tight_on_sylvester_hadamard():
-    mat = _hadamard_gaussian()
-    weights = _gaussian_setup(mat)[3]
-    assert weights == _weights(mat) == [16] * 16
-    assert _coefficient_bound(weights) == 2**32 + 1
-    (d,) = det_gaussian_many([mat])
-    assert d == det_bareiss(mat, G_ONE)
-    assert max(abs(c) for c in _coefficients(d)) == 2**32
+    for factor, weight, top in (((1, 0), 16, 2**32), ((1, 1), 32, 2**40)):
+        mat = _hadamard_gaussian(factor)
+        weights = _gaussian_setup(mat)[3]
+        assert weights == _weights(mat) == [weight] * 16
+        assert _coefficient_bound(weights) == top + 1
+        (d,) = det_gaussian_many([mat])
+        assert d == det_bareiss(mat, G_ONE)
+        assert max(abs(c) for c in _coefficients(d)) == top
 
 
 def test_block_minors_of_sylvester_hadamard():
@@ -267,15 +385,29 @@ def _scaled_poly(p, k):
     return LaurentPoly({e: c * k for e, c in p.terms.items()}, p.var)
 
 
+def _rand_gaussian_term(rng):
+    k = rng.randint(-2, 2)
+    return GaussianLaurent(
+        LaurentPoly({k: rng.randint(-5, 5)}), LaurentPoly({k: rng.randint(-5, 5)})
+    )
+
+
 def test_coefficient_bound_covers_bareiss_coefficients(rng):
     for n in (1, 2, 3, 4, 5):
         for _ in range(6):
-            g = [[_scaled(rng, rand_gaussian(rng)) for _ in range(n)] for _ in range(n)]
-            assert _gaussian_setup(g)[3] == _weights(g)
-            dg = det_bareiss(g, G_ONE)
-            bound = _coefficient_bound(_weights(g))
-            assert all(abs(c) <= bound for c in _coefficients(dg))
-            assert det_gaussian_many([g])[0] == dg
+            # general entries, and single terms c t^k, whose weight |c|^2
+            # is below l1^2 whenever c has both parts
+            for g in (
+                [[_scaled(rng, rand_gaussian(rng)) for _ in range(n)]
+                 for _ in range(n)],
+                [[_scaled(rng, _rand_gaussian_term(rng)) for _ in range(n)]
+                 for _ in range(n)],
+            ):
+                assert _gaussian_setup(g)[3] == _weights(g)
+                dg = det_bareiss(g, G_ONE)
+                bound = _coefficient_bound(_weights(g))
+                assert all(abs(c) <= bound for c in _coefficients(dg))
+                assert det_gaussian_many([g])[0] == dg
 
             s = [[_scaled(rng, rand_lpoly2(rng)) for _ in range(n)] for _ in range(n)]
             ds = det_bareiss(s, L2_ONE)

@@ -2,13 +2,14 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from vknots import invariants
 from vknots.budget import BudgetError
 from vknots.catalog import builtin_entries
-from vknots.fastdet import det_gaussian_many
+from vknots.fastdet import _gaussian_setup, det_gaussian_many
 from vknots.gausscode import (
     canonicalize,
     edge_structure,
@@ -25,6 +26,7 @@ from vknots.invariants import (
     bracket,
     bracket_congruence,
     codim1_gcd,
+    doubled_setup,
     exponent_congruence,
     f_polynomial,
     gen_alexander,
@@ -32,9 +34,16 @@ from vknots.invariants import (
     loop_count,
     quaternionic_invariant,
     quaternionic_matrix,
+    study_determinant,
     writhe,
 )
-from vknots.laurent import LaurentPoly, LaurentPoly2, normalize_unit, poly_gcd
+from vknots.laurent import (
+    LaurentPoly,
+    LaurentPoly2,
+    normalize_leadpos,
+    normalize_unit,
+    poly_gcd,
+)
 from vknots.matrix import det_bareiss, minor_matrix
 from vknots.quaternion import GaussianLaurent, double_matrix
 
@@ -415,7 +424,7 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
     real = invariants.det_gaussian_submatrices
 
     def counting(mat, selections, var="t"):
-        calls.append(len(selections))
+        calls.append(selections)
         return real(mat, selections, var)
 
     monkeypatch.setattr(invariants, "det_gaussian_submatrices", counting)
@@ -423,11 +432,73 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
         qmat = quaternionic_matrix(code)
         calls.clear()
         assert codim1_gcd(qmat) == _sweep_codim1_gcd(qmat), code
-        assert calls == [len(qmat) ** 2], code
+        assert [len(sels) for sels in calls] == [len(qmat) ** 2], code
+    # quaternionic_invariant: one call for the Study determinant and every
+    # minor, the full selection first, and no other engine or build work
+    m = len(quaternionic_matrix(parse_gauss(KISHINO)))
+    others = {"det_gaussian_many": 0, "double_matrix": 0, "quaternionic_matrix": 0}
+    for name in others:
+        def other(*args, _name=name, _real=getattr(invariants, name)):
+            others[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(invariants, name, other)
     calls.clear()
     study, gcd = quaternionic_invariant(parse_gauss(KISHINO))
     assert (study.render(), gcd.render()) == ("0", "2 + 5*t^2 + 2*t^4")
-    assert calls == [len(quaternionic_matrix(parse_gauss(KISHINO))) ** 2]
+    assert [len(sels) for sels in calls] == [m**2 + 1]
+    assert calls[0][0] == (tuple(range(2 * m)), tuple(range(2 * m)))
+    assert others == dict.fromkeys(others, 0)
+
+
+def _reference_quaternionic_invariant(code):
+    """quaternionic_invariant as it was before the single engine call: the
+    Study determinant by det_gaussian_many and codim1_gcd, each on its own
+    doubling of quaternionic_matrix."""
+    free = edge_structure(code).free_circles
+    if free >= 2:
+        return (LaurentPoly({}), LaurentPoly({}))
+    qmat = quaternionic_matrix(code)
+    if not code.labels:
+        return (LaurentPoly({}), LaurentPoly.const(1))
+    if free:
+        square = [row[: len(qmat)] for row in qmat]
+        return (LaurentPoly({}), normalize_leadpos(study_determinant(square)))
+    return (normalize_leadpos(study_determinant(qmat)), codim1_gcd(qmat))
+
+
+def _quaternionic_setup_codes():
+    """Catalog and walk codes, kinks (one edge is both in-edge and
+    out-edge of a crossing, so entries accumulate and cancel), and codes
+    with one or two free circles beside crossings."""
+    texts = ["O1+U1+", "O1-U1-", "U1+O1+", "O1+U1+O2-U2-", TREFOIL + "/()",
+             KISHINO + "/()", "O1+U1+/()", "O1+U2+/U1+O2+/()", HOPF + "/()/()"]
+    return catalog_and_walk_codes(5, 8, seed=35) + [parse_gauss(t) for t in texts]
+
+
+def test_doubled_setup_matches_setup_of_doubling():
+    kinks = square = 0
+    for code in _quaternionic_setup_codes():
+        es = edge_structure(code)
+        if not code.labels or es.free_circles > 1:
+            continue
+        qmat = quaternionic_matrix(code)
+        # drop the zero column of a single free circle: the square case
+        dbl = double_matrix([row[: len(es.edges)] for row in qmat])
+        want = _gaussian_setup(dbl)
+        got = doubled_setup(code)
+        assert got.coeffs.dtype == want.coeffs.dtype == np.int64
+        assert np.array_equal(got.coeffs, want.coeffs), code
+        assert got[1:] == want[1:], code
+        kinks += any(len(set(ce)) < 4 for ce in es.crossing_edges.values())
+        square += es.free_circles
+    assert kinks and square
+
+
+def test_quaternionic_invariant_matches_separate_engine_calls():
+    for code in _quaternionic_setup_codes():
+        want = _reference_quaternionic_invariant(code)
+        assert quaternionic_invariant(code) == want, code
 
 
 def test_quaternionic_two_free_circles():
