@@ -12,12 +12,18 @@ An involutory quandle (IQ) labels arcs instead of edges: an arc runs
 between consecutive under-passages, and the relation at every crossing
 (independent of sign, by involutivity) is (under-out) = (under-in) |> (over).
 
-Coloring counts are computed by label propagation with branching only
-at genuinely free choices; the search is exact and budgeted.
+Coloring counts are exact.  Affine structures over a squarefree carrier
+(the mod-p Alexander biquandles, the dihedral quandles of squarefree
+order, and any loaded table of the same form) are counted by the rank of
+their relation matrix over F_p for each prime p dividing the carrier
+size.  Every other structure is counted by label propagation with
+branching only at genuinely free choices, a search under the node budget
+VKNOTS_COLOR_BUDGET.
 """
 
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .budget import BudgetError, read_budget
 from .gausscode import GaussCodeError, edge_structure, label_signs
@@ -272,20 +278,111 @@ def make_dihedral_quandle(n):
 #
 # Both counters build a list of relations ``(out, a, b, table)``, each
 # meaning label[out] = table[label[a]][label[b]], and hand it to one
-# budgeted backtracking search.  Every label keeps a watch list of the
-# relations that take it as an input.  Assigning a label follows only that
-# label's watch list: a relation whose inputs are both known forces its
-# output (or fails on a different known output), and a newly forced label
-# is followed in turn, until a fixed point or a contradiction.  Outputs
-# need no watching: an output with both inputs known is already forced.
-# The search branches on the first unassigned label only when nothing is
-# forced.  Biquandle counts label edges (two relations per crossing, from
-# the crossing sign's tables); IQ counts label arcs (one per crossing).
+# dispatcher.  When the carrier size q is squarefree and every table is
+# affine, table[x][y] = alpha*x + beta*y + c (mod q), the relations form a
+# linear system over Z_q and the count is exact linear algebra: by the
+# Chinese remainder theorem Z_q is the product of the fields F_p for the
+# primes p dividing q, and over F_p the system has no solution when the
+# augmented matrix has larger rank than the coefficient matrix, and
+# otherwise p^(n_vars - rank) of them.  This covers the mod-p Alexander
+# biquandles (Kauffman-Radford, "Bi-oriented quantum algebras, and a
+# generalized Alexander polynomial for virtual links", 2003) and the
+# dihedral quandles of squarefree order (Fox colorings as the nullity of
+# the coloring matrix, Przytycki, "3-coloring and other elementary
+# invariants of knots", 1998).
+#
+# Every other table, and a non-squarefree q, takes a budgeted backtracking
+# search.  Every label keeps a watch list of the relations that take it as
+# an input.  Assigning a label follows only that label's watch list: a
+# relation whose inputs are both known forces its output (or fails on a
+# different known output), and a newly forced label is followed in turn,
+# until a fixed point or a contradiction.  Outputs need no watching: an
+# output with both inputs known is already forced.  The search branches on
+# the first unassigned label only when nothing is forced.  Biquandle counts
+# label edges (two relations per crossing, from the crossing sign's
+# tables); IQ counts label arcs (one per crossing).
+
+
+@lru_cache(maxsize=64)
+def _affine_coefficients(table, q):
+    """(alpha, beta, c) with table[x][y] = alpha*x + beta*y + c (mod q) for
+    every x, y in {0..q-1}, or None when the table is not of that form."""
+    c = table[0][0]
+    alpha = (table[1][0] - c) % q if q > 1 else 0
+    beta = (table[0][1] - c) % q if q > 1 else 0
+    for x, row in enumerate(table):
+        for y, value in enumerate(row):
+            if value != (alpha * x + beta * y + c) % q:
+                return None
+    return alpha, beta, c
+
+
+def _squarefree_primes(q):
+    """The primes dividing q when q is squarefree, else None (also for an
+    empty carrier, q = 0)."""
+    if q < 1:
+        return None
+    primes = []
+    d = 2
+    while d * d <= q:
+        if q % d == 0:
+            q //= d
+            if q % d == 0:
+                return None
+            primes.append(d)
+        d += 1
+    if q > 1:
+        primes.append(q)
+    return tuple(primes)
 
 
 def _count_labelings(n_vars, q, relations):
-    """Number of maps {0..n_vars-1} -> {0..q-1} satisfying every relation."""
+    """Number of maps {0..n_vars-1} -> {0..q-1} satisfying every relation:
+    by rank when q is squarefree and every table affine, else by search."""
     budget = read_budget(BUDGET_ENV_VAR, DEFAULT_COLOR_BUDGET)
+    primes = _squarefree_primes(q)
+    if primes is not None:
+        coeffs = [_affine_coefficients(rel[3], q) for rel in relations]
+        if None not in coeffs:
+            return _linear_count(n_vars, primes, relations, coeffs)
+    return _search_labelings(n_vars, q, relations, budget)
+
+
+def _linear_count(n_vars, primes, relations, coeffs):
+    """Solutions over Z_q (q the product of primes) of the affine system
+    label[out] - alpha*label[a] - beta*label[b] = c, one row per relation.
+
+    The augmented matrix is padded with zero rows and columns to a square
+    for fastdet's Gauss-Jordan elimination, which processes columns in
+    order, so the constant column n_vars holds a pivot exactly when the
+    augmented rank exceeds the coefficient rank.
+    """
+    # imported on first use: loading numpy from this module, ahead of the
+    # rest of the package, raises the process's peak RSS by about 0.6 MB
+    import numpy as np
+
+    from .fastdet import _gauss_jordan_mod
+
+    size = max(len(relations), n_vars + 1)
+    rows = [[0] * size for _ in range(size)]
+    for row, (out, a, b, _table), (alpha, beta, c) in zip(rows, relations, coeffs):
+        row[out] += 1
+        row[a] -= alpha
+        row[b] -= beta
+        row[n_vars] = c
+    system = np.array([rows], dtype=np.int64)
+    count = 1
+    for p in primes:
+        _m, rank, pivotal, _sign, _lead = _gauss_jordan_mod(system % p, p)
+        if pivotal[0, n_vars]:
+            return 0
+        count *= p ** (n_vars - int(rank[0]))
+    return count
+
+
+def _search_labelings(n_vars, q, relations, budget):
+    """The count by watch-list search, raising ColoringBudgetError after
+    budget search nodes."""
     watch = [[] for _ in range(n_vars)]
     for rel in relations:
         for var in set(rel[1:3]):

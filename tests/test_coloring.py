@@ -1,8 +1,11 @@
 import itertools
 import os
+import random
+import time
 
 import pytest
 
+from vknots.cli import enumerate_single_component
 from vknots.coloring import (
     BUDGET_ENV_VAR,
     ColoringBudgetError,
@@ -16,6 +19,9 @@ from vknots.coloring import (
     load_quandle_file,
     make_alexander_biquandle_modp,
     make_dihedral_quandle,
+    _affine_coefficients,
+    _count_labelings,
+    _search_labelings,
 )
 from vknots.gausscode import GaussCodeError, edge_structure, parse_gauss
 
@@ -158,10 +164,19 @@ def test_free_circle_multiplies_counts():
 
 
 def test_budget_exceeded(monkeypatch):
+    # dihedral-4 is not over a squarefree carrier, so it takes the search
     monkeypatch.setenv(BUDGET_ENV_VAR, "2")
-    bq = make_alexander_biquandle_modp(5, 2, 3)
     with pytest.raises(ColoringBudgetError):
-        count_biquandle_colorings(parse_gauss(TREFOIL), bq)
+        count_iq_colorings(parse_gauss(TREFOIL), make_dihedral_quandle(4))
+
+
+def test_budget_does_not_cap_affine_counts(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV_VAR, "1")
+    bq = make_alexander_biquandle_modp(5, 2, 3)
+    code = parse_gauss(TREFOIL)
+    n_vars, rels, _free = _relations(code, bq)
+    want = _search_labelings(n_vars, bq.n, rels, 10**8)
+    assert count_biquandle_colorings(code, bq) == want
 
 
 def test_budget_env_must_be_integer(monkeypatch):
@@ -238,8 +253,8 @@ def _closure_relation(out_var, in1, in2, table):
     return check
 
 
-def _closure_count(code, struct):
-    """(count, smallest passing budget) from the closure-based search."""
+def _relations(code, struct):
+    """(n_vars, relations, free circles) of a code's coloring system."""
     es = edge_structure(code)
     if isinstance(struct, FiniteQuandle):
         n_vars = len(es.arcs)
@@ -254,13 +269,19 @@ def _closure_count(code, struct):
             pos = code.sign_of(label) > 0
             rels.append((u_out, u_in, o_in, struct.up if pos else struct.upbar))
             rels.append((o_out, o_in, u_in, struct.down if pos else struct.downbar))
+    return n_vars, rels, es.free_circles
+
+
+def _closure_count(code, struct):
+    """(count, smallest passing budget) from the closure-based search."""
+    n_vars, rels, free_circles = _relations(code, struct)
     constraints = [_closure_relation(*rel) for rel in rels]
     var_constraints = [[] for _ in range(n_vars)]
     for ci, rel in enumerate(rels):
         for var in set(rel[:3]):
             var_constraints[var].append(ci)
     count, nodes = _closure_search_count(n_vars, struct.n, constraints, var_constraints)
-    return count * struct.n**es.free_circles, nodes
+    return count * struct.n**free_circles, nodes
 
 
 DIFFERENTIAL_STRUCTURES = [
@@ -274,7 +295,9 @@ DIFFERENTIAL_STRUCTURES = [
 ]
 
 
-def test_counts_and_budgets_match_closure_search(monkeypatch):
+def test_counts_and_budgets_match_closure_search():
+    # the public counts against the closure search, and the search's node
+    # budget on the search itself: affine structures never search
     codes = catalog_and_walk_codes(6, 20, seed=51)
     assert max(c.n_crossings for c in codes) == 6
     for code in codes:
@@ -285,11 +308,154 @@ def test_counts_and_budgets_match_closure_search(monkeypatch):
                 else count_biquandle_colorings
             )
             want, nodes = _closure_count(code, struct)
-            monkeypatch.setenv(BUDGET_ENV_VAR, str(nodes))
             assert counter(code, struct) == want, (code, struct.name)
-            monkeypatch.setenv(BUDGET_ENV_VAR, str(nodes - 1))
+            n_vars, rels, free_circles = _relations(code, struct)
+            assert (
+                _search_labelings(n_vars, struct.n, rels, nodes)
+                * struct.n**free_circles
+                == want
+            ), (code, struct.name)
             with pytest.raises(ColoringBudgetError):
-                counter(code, struct)
+                _search_labelings(n_vars, struct.n, rels, nodes - 1)
+
+
+# --- the linear-algebra count against the search ---------------------------------
+
+
+def _assert_matches_search(codes, structures):
+    for code in codes:
+        for struct in structures:
+            n_vars, rels, _free = _relations(code, struct)
+            want = _search_labelings(n_vars, struct.n, rels, 10**8)
+            assert _count_labelings(n_vars, struct.n, rels) == want, (
+                code,
+                struct.name,
+            )
+
+
+def test_linear_count_matches_search_on_codes():
+    codes = catalog_and_walk_codes(5, 20, seed=52)
+    codes += enumerate_single_component(3)
+    structures = [make_dihedral_quandle(n) for n in (3, 4, 5, 6)]
+    structures += [
+        make_alexander_biquandle_modp(p, s, t)
+        for p in (2, 3, 5, 7)
+        for s in range(1, p)
+        for t in range(1, p)
+    ]
+    _assert_matches_search(codes, structures)
+
+
+@pytest.mark.parametrize("seed", [1200, 1201, 1202])
+def test_alexander_count_on_12_crossings_takes_milliseconds(seed):
+    # the search takes about 9, 0.2 and 0.8 s on these codes
+    bq = make_alexander_biquandle_modp(5, 2, 3)
+    code = random_code(random.Random(seed), 12)
+    timings = []
+    for _ in range(3):
+        start = time.perf_counter()
+        count = count_biquandle_colorings(code, bq)
+        timings.append(time.perf_counter() - start)
+    assert min(timings) < 0.05, timings
+    n_vars, rels, free_circles = _relations(code, bq)
+    assert count == _search_labelings(n_vars, bq.n, rels, 10**8) * 5**free_circles
+
+
+def _random_affine_table(rng, q):
+    alpha, beta, c = rng.randrange(q), rng.randrange(q), rng.randrange(q)
+    return tuple(
+        tuple((alpha * x + beta * y + c) % q for y in range(q)) for x in range(q)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 6, 7, 10, 15])
+def test_linear_count_matches_search_on_random_affine_systems(q):
+    rng = random.Random(7000 + q)
+    n_inconsistent = 0
+    for _ in range(150):
+        n_vars = rng.randint(1, 3 if q > 7 else 5)
+        tables = [_random_affine_table(rng, q) for _ in range(3)]
+        rels = [
+            (
+                rng.randrange(n_vars),
+                rng.randrange(n_vars),
+                rng.randrange(n_vars),
+                rng.choice(tables),
+            )
+            for _ in range(rng.randint(0, n_vars + 2))
+        ]
+        want = _search_labelings(n_vars, q, rels, 10**8)
+        assert _count_labelings(n_vars, q, rels) == want, (q, n_vars, rels)
+        n_inconsistent += want == 0
+    assert n_inconsistent  # nonzero constants make some systems unsolvable
+
+
+def test_affine_coefficients_reject_any_single_perturbed_entry():
+    tables = [make_dihedral_quandle(n).table for n in (3, 5, 6)]
+    bq = make_alexander_biquandle_modp(7, 3, 2)
+    tables += [bq.up, bq.down, bq.upbar, bq.downbar]
+    for table in tables:
+        q = len(table)
+        alpha, beta, c = _affine_coefficients(table, q)
+        assert all(
+            table[x][y] == (alpha * x + beta * y + c) % q
+            for x in range(q)
+            for y in range(q)
+        )
+        for x, y in itertools.product(range(q), repeat=2):
+            rows = [list(r) for r in table]
+            rows[x][y] = (rows[x][y] + 1) % q
+            assert _affine_coefficients(tuple(map(tuple, rows)), q) is None
+
+
+# the non-affine involutory quandle of order 3: 2 swaps 0 and 1, and 0
+# and 1 fix everything; as a biquandle, a^b = a^{b-bar} = a |> b and
+# a_b = a_{b-bar} = a
+_NON_AFFINE_IQ = ((0, 0, 1), (1, 1, 0), (2, 2, 2))
+_FIRST = ((0, 0, 0), (1, 1, 1), (2, 2, 2))
+
+
+def _table_lines(table):
+    return [" ".join(str(v) for v in row) for row in table]
+
+
+def _load_quandle(tmp_path, name, table):
+    lines = [str(len(table))] + _table_lines(table) + ["involutory"]
+    return load_quandle_file(_write(tmp_path / name, "\n".join(lines)))
+
+
+def _load_biquandle(tmp_path, name, tables):
+    lines = [str(len(tables[0]))]
+    for table in tables:
+        lines += _table_lines(table)
+    return load_biquandle_file(_write(tmp_path / name, "\n".join(lines)))
+
+
+def test_loaded_tables_match_search(tmp_path):
+    bq = make_alexander_biquandle_modp(5, 2, 3)
+    affine_q = _load_quandle(tmp_path, "d5.q", make_dihedral_quandle(5).table)
+    plain_q = _load_quandle(tmp_path, "na.q", _NON_AFFINE_IQ)
+    affine_bq = _load_biquandle(
+        tmp_path, "a5.bq", (bq.up, bq.down, bq.upbar, bq.downbar)
+    )
+    plain_bq = _load_biquandle(
+        tmp_path, "na.bq", (_NON_AFFINE_IQ, _FIRST, _NON_AFFINE_IQ, _FIRST)
+    )
+    assert check_biquandle_axioms(plain_bq) == []
+    assert _affine_coefficients(affine_q.table, 5) == (4, 2, 0)  # 2b - a
+    assert _affine_coefficients(affine_bq.up, 5) == (3, 0, 0)  # 1 - st = -5
+    assert _affine_coefficients(plain_q.table, 3) is None
+    assert _affine_coefficients(plain_bq.up, 3) is None
+    codes = catalog_and_walk_codes(5, 10, seed=53)
+    _assert_matches_search(codes, [affine_q, plain_q, affine_bq, plain_bq])
+
+
+def test_one_and_zero_element_carriers_match_search(tmp_path):
+    one = FiniteBiquandle(1, ((0,),), ((0,),), ((0,),), ((0,),))
+    empty = load_biquandle_file(_write(tmp_path / "empty.bq", "0\n"))
+    codes = catalog_and_walk_codes(4, 5, seed=54)
+    assert {count_biquandle_colorings(c, empty) for c in codes} == {0}
+    _assert_matches_search(codes, [one, empty])
 
 
 # --- table files ------------------------------------------------------------------
