@@ -8,14 +8,19 @@ evaluation/interpolation scheme:
 * shift each row by a monomial so all exponents are nonnegative (the
   determinant picks up a known monomial factor),
 * bound the degree (sum of per-row maxima) and the coefficients (below),
-* evaluate the matrix at enough integer points modulo several primes,
-  run batched division-free elimination in numpy, interpolate the
-  coefficients with a cached inverse Vandermonde matrix, and
-* lift by the Chinese remainder theorem with symmetric representatives.
+* evaluate the matrix on a two-axis grid of points modulo several
+  primes (``_evaluate``), run batched division-free elimination in numpy,
+  interpolate the coefficients with a cached inverse Vandermonde matrix
+  per axis, and lift by the Chinese remainder theorem with symmetric
+  representatives (``_interpolate``, the one loop over primes).
 
-Gaussian-integer coefficients are handled with primes p = 1 (mod 4): the
-two ring maps i -> +/- sqrt(-1) (mod p) give conjugate evaluations whose
-half-sum and half-difference separate the real and imaginary parts.
+Over Z[s, t] the axes are s = 1..Ps and t = 1..Pt.  Gaussian-integer
+coefficients are handled with primes p = 1 (mod 4): Z[i] = Z[x]/(x^2 + 1)
+and the two roots +/- sqrt(-1) of x^2 + 1 mod p are ring maps, so the i
+axis is one more interpolation axis with points +/- sqrt(-1), on which
+a + b i is the degree-1 polynomial a + b x.  The inverse Vandermonde
+matrix of those two points takes the half-sum and half-difference of the
+conjugate evaluations, which separates the real and imaginary parts.
 
 Coefficient bound.  On |t| = 1 an entry e = sum_k c_k t^k with K nonzero
 coefficients has |e| <= sum_k |c_k|.  The square of that is at most
@@ -359,35 +364,28 @@ def _block_minors_mod(a, p):
     return det, out
 
 
-def _vand_inv(npoints, p):
-    """Inverse mod p of the Vandermonde matrix at points 1..npoints."""
-    key = (p, npoints)
-    cached = _vand_cache.get(key)
-    if cached is not None:
-        return cached
-    m = npoints
-    V = np.empty((m, m), dtype=np.int64)
-    for i in range(m):
-        x = i + 1
-        acc = 1
-        for j in range(m):
-            V[i, j] = acc
-            acc = acc * x % p
-    A = np.concatenate([V, np.eye(m, dtype=np.int64)], axis=1)
-    for k in range(m):
-        if A[k, k] == 0:
-            for r in range(k + 1, m):
-                if A[r, k]:
-                    A[[k, r]] = A[[r, k]]
-                    break
-        inv = pow(int(A[k, k]), p - 2, p)
-        A[k] = A[k] * inv % p
-        for r in range(m):
-            if r != k and A[r, k]:
-                A[r] = (A[r] - A[r, k] * A[k]) % p
-    out = A[:, m:]
-    _vand_cache[key] = out
+def _powers(points, maxdeg, p):
+    """out[i, j] = points[i]^j mod p, shape (len(points), maxdeg + 1)."""
+    x = np.array(points, dtype=np.int64) % p
+    out = np.ones((len(x), maxdeg + 1), dtype=np.int64)
+    for j in range(1, maxdeg + 1):
+        out[:, j] = out[:, j - 1] * x % p
     return out
+
+
+def _vand_inv(points, p):
+    """Inverse mod p of the Vandermonde matrix V[i, j] = points[i]^j.
+
+    One Gauss-Jordan pass gives T V = diag(d), so V^-1 = diag(d)^-1 T.
+    """
+    key = (p, tuple(points))
+    cached = _vand_cache.get(key)
+    if cached is None:
+        n = len(key[1])
+        M = _gauss_jordan_mod(_powers(key[1], n - 1, p)[None], p)[0][0]
+        d_inv = _modpow(M.diagonal(), p - 2, p)
+        cached = _vand_cache[key] = d_inv[:, None] * M[:, n:] % p
+    return cached
 
 
 def _crt_symmetric(residues, primes):
@@ -402,15 +400,35 @@ def _crt_symmetric(residues, primes):
     return np.where(x > M // 2, x - M, x)
 
 
-def _point_powers(npoints, maxdeg, p):
-    XP = np.empty((npoints, maxdeg + 1), dtype=np.int64)
-    for i in range(npoints):
-        x = i + 1
-        acc = 1
-        for j in range(maxdeg + 1):
-            XP[i, j] = acc
-            acc = acc * x % p
-    return XP
+def _evaluate(coeffs, points, p):
+    """The matrix sum_{a,b} coeffs[:, :, a, b] x^a y^b mod p at every point
+    (x, y) of the grid points = (xs, ys), x major: a stack of shape
+    (len(xs) * len(ys), n, n).  coeffs has shape (n, n, D0 + 1, D1 + 1)."""
+    n = coeffs.shape[0]
+    c = (coeffs % p).astype(np.int64)
+    v = np.tensordot(c, _powers(points[1], c.shape[3] - 1, p), axes=([3], [1])) % p
+    v = np.tensordot(v, _powers(points[0], c.shape[2] - 1, p), axes=([2], [1])) % p
+    return v.transpose(3, 2, 0, 1).reshape(-1, n, n)
+
+
+def _interpolate(bound, grid, values):
+    """Exact coefficients c[a, b, s] of S polynomials
+    f_s = sum_{a,b} c[a, b, s] x^a y^b with |c| <= bound, from their values.
+
+    For each prime p, with root = sqrt(-1) mod p, grid(p, root) gives the
+    axes (xs, ys), one point per coefficient on each, and values(p, (xs,
+    ys)) the values f_s(x, y) mod p as an array (len(xs) * len(ys), S), x
+    major.  Returns c, shape (len(xs), len(ys), S): int64 for one prime,
+    else an object array.
+    """
+    primes = _primes(_num_primes_for(bound))
+    res = []
+    for p, root in primes:
+        xs, ys = grid(p, root)
+        v = values(p, (xs, ys)).reshape(len(xs), len(ys), -1)
+        v = _vand_inv(ys, p) @ v % p
+        res.append((_vand_inv(xs, p) @ v.reshape(len(xs), -1) % p).reshape(v.shape))
+    return _crt_symmetric(res, [p for p, _ in primes])
 
 
 def _coefficient_bound(weights):
@@ -424,12 +442,13 @@ class GaussianSetup(NamedTuple):
     """A square matrix over Z[i][t, t^-1] in the form the engine reads.
 
     Each row is shifted by a monomial so its least exponent is 0.
-    coeffs[0] and coeffs[1] hold the real and imaginary coefficients,
-    shape (n, n, deg + 1), as int64, or as Python ints when one does not
-    fit, so that every coefficient reduces exactly mod p.  shifts, degs
-    and weights are per-row lists of Python ints: the shift, the degree
-    after shifting and the weight (see _coefficient_bound).  A zero row
-    has shift 0, degree 0 and weight 0.
+    coeffs, of shape (n, n, 2, deg + 1), holds at [r, c, k, d] the
+    coefficient of i^k t^d in entry (r, c): axis 2 is the i axis, k = 0
+    real and k = 1 imaginary.  Its dtype is int64, or object (Python ints)
+    when a coefficient does not fit, so that every one reduces exactly
+    mod p.  shifts, degs and weights are per-row lists of Python ints:
+    the shift, the degree after shifting and the weight (see
+    _coefficient_bound).  A zero row has shift 0, degree 0 and weight 0.
     """
 
     coeffs: np.ndarray
@@ -464,11 +483,11 @@ def gaussian_setup_from_terms(n, terms):
     for (r, _c), (l1, sq, exps) in entries.items():
         weights[r] += min(l1 * l1, len(exps) * sq)
     small = all(-(2**63) < v < 2**63 for v in acc.values())
-    coeffs = np.zeros((2, n, n, max(degs, default=0) + 1),
+    coeffs = np.zeros((n, n, 2, max(degs, default=0) + 1),
                       dtype=np.int64 if small else object)
     if acc:
         part, rows, cols, exps = zip(*acc)
-        coeffs[part, rows, cols, [d - shifts[r] for r, d in zip(rows, exps)]] = list(
+        coeffs[rows, cols, part, [d - shifts[r] for r, d in zip(rows, exps)]] = list(
             acc.values()
         )
     return GaussianSetup(coeffs, shifts, degs, weights)
@@ -488,40 +507,14 @@ def _gaussian_setup(mat):
     )
 
 
-def _evaluate(coeffs, P, p, root):
-    """The matrix at t = 1..P mod p, first with i -> root, then i -> -root:
-    a stack of shape (2P, n, n)."""
-    XP = _point_powers(P, coeffs.shape[3] - 1, p)
-    vre, vim = np.tensordot((coeffs % p).astype(np.int64), XP, axes=([3], [1])) % p
-    return np.concatenate(
-        [
-            np.moveaxis((vre + root * vim) % p, 2, 0),
-            np.moveaxis((vre - root * vim) % p, 2, 0),
-        ]
-    )
-
-
-def _interpolate_gaussian(D, L, evaluate, shifts, var):
+def _interpolate_gaussian(D, L, values, shifts, var):
     """Exact polynomials over Z[i] of degree <= D and coefficients of
-    absolute value <= L, from their values.
-
-    evaluate(p, root, P) returns a (2P, S) array: the values of S
-    polynomials mod p at t = 1..P with i -> root, then with i -> -root.
-    Returns the S polynomials as GaussianLaurent, polynomial s multiplied
-    by t^shifts[s].
+    absolute value <= L, from their values: _interpolate on the axes
+    i -> +/- sqrt(-1) and t = 1..D+1.  Returns them as GaussianLaurent,
+    polynomial s multiplied by t^shifts[s].
     """
-    P = D + 1
-    primes = _primes(_num_primes_for(L))
-    re_res, im_res = [], []
-    for p, root in primes:
-        vals = evaluate(p, root, P)
-        vplus, vminus = vals[:P], vals[P:]
-        Vinv = _vand_inv(P, p)
-        re_res.append(Vinv @ ((vplus + vminus) * pow(2, -1, p) % p) % p)
-        im_res.append(Vinv @ ((vplus - vminus) * pow(2 * root, -1, p) % p) % p)
-    plist = [p for p, _ in primes]
-    re = _crt_symmetric(re_res, plist).T.tolist()
-    im = _crt_symmetric(im_res, plist).T.tolist()
+    coef = _interpolate(L, lambda p, root: ((root, p - root), range(1, D + 2)), values)
+    re, im = coef.transpose(0, 2, 1).tolist()
     return [
         GaussianLaurent(_poly(re[s], shift, var), _poly(im[s], shift, var))
         for s, shift in enumerate(shifts)
@@ -557,16 +550,17 @@ def det_gaussian_many(mats, var="t"):
         return results
     by_size: dict[int, list] = {}
     for j, (_idx, coeffs, _shift) in enumerate(jobs):
-        by_size.setdefault(coeffs.shape[1], []).append(j)
+        by_size.setdefault(coeffs.shape[0], []).append(j)
 
-    def evaluate(p, root, P):
-        vals = np.empty((2 * P, len(jobs)), dtype=np.int64)
+    def values(p, points):
+        k = len(points[0]) * len(points[1])
+        vals = np.empty((k, len(jobs)), dtype=np.int64)
         for js in by_size.values():
-            stack = np.concatenate([_evaluate(jobs[j][1], P, p, root) for j in js])
-            vals[:, js] = _chunked_det(stack, p).reshape(len(js), 2 * P).T
+            stack = np.concatenate([_evaluate(jobs[j][1], points, p) for j in js])
+            vals[:, js] = _chunked_det(stack, p).reshape(len(js), k).T
         return vals
 
-    dets = _interpolate_gaussian(D, L, evaluate, [s for _i, _c, s in jobs], var)
+    dets = _interpolate_gaussian(D, L, values, [s for _i, _c, s in jobs], var)
     for (idx, _coeffs, _shift), g in zip(jobs, dets):
         results[idx] = g
     return results
@@ -601,7 +595,9 @@ def det_gaussian_submatrices(mat, selections, var="t"):
     ]
     if not live:
         return results
-    row_shift = {rows: sum(shifts[r] for r in rows) for _i, rows, _cols in live}
+    row_shift = {
+        rows: sum(shifts[r] for r in rows) for rows in {rows for _i, rows, _c in live}
+    }
     D = max(sum(degs[r] for r in rows) for rows in row_shift)
     L = max(_coefficient_bound(weights[r] for r in rows) for rows in row_shift)
     m = n // 2
@@ -617,9 +613,9 @@ def det_gaussian_submatrices(mat, selections, var="t"):
         else:
             blocks.append((j, *rc))
 
-    def evaluate(p, root, P):
-        stack = _evaluate(coeffs, P, p, root)
-        vals = np.empty((2 * P, len(live)), dtype=np.int64)
+    def values(p, points):
+        stack = _evaluate(coeffs, points, p)
+        vals = np.empty((len(stack), len(live)), dtype=np.int64)
         if blocks:
             js, rs, cs = (list(x) for x in zip(*blocks))
             det, minors = _block_minors_mod(stack, p)
@@ -630,11 +626,11 @@ def det_gaussian_submatrices(mat, selections, var="t"):
             subs = np.concatenate(
                 [stack[:, list(live[j][1])][:, :, list(live[j][2])] for j in js]
             )
-            vals[:, js] = _chunked_det(subs, p).reshape(len(js), 2 * P).T
+            vals[:, js] = _chunked_det(subs, p).reshape(len(js), len(stack)).T
         return vals
 
     dets = _interpolate_gaussian(
-        D, L, evaluate, [row_shift[rows] for _i, rows, _cols in live], var
+        D, L, values, [row_shift[rows] for _i, rows, _cols in live], var
     )
     for (i, _rows, _cols), g in zip(live, dets):
         results[i] = g
@@ -647,7 +643,7 @@ def det_laurent2(mat):
     Each row is read once, as in _gaussian_setup: it is shifted by a
     monomial so its least s and t exponents are 0, and its terms go
     straight into one coefficient array (int64 when every coefficient
-    fits).
+    fits), which _interpolate reads on the axes s = 1..Ps and t = 1..Pt.
     """
     n = len(mat)
     if n == 0:
@@ -680,27 +676,16 @@ def det_laurent2(mat):
     rows, cols, ea, eb, vals = zip(*terms)
     C[rows, cols, ea, eb] = vals
     Ps, Pt = Ds + 1, Dt + 1
-    primes = _primes(_num_primes_for(_coefficient_bound(weights)))
-    grids = []
-    for p, _root in primes:
-        XS = _point_powers(Ps, eds, p)
-        XT = _point_powers(Pt, edt, p)
-        # vals[r, c, a, b] = sum_{i,j} C[r,c,i,j] * s_a^i * t_b^j
-        v = np.tensordot((C % p).astype(np.int64), XT, axes=([3], [1])) % p
-        v = np.tensordot(v, XS, axes=([2], [1])) % p  # (n, n, Pt, Ps)
-        stack = v.transpose(3, 2, 0, 1).reshape(Ps * Pt, n, n)
-        dets = _batch_det_mod(stack, p).reshape(Ps, Pt)
-        Vsinv = _vand_inv(Ps, p)
-        Vtinv = _vand_inv(Pt, p)
-        grid = Vsinv @ dets % p
-        grid = grid @ Vtinv.T % p
-        grids.append(grid)
-    coef = _crt_symmetric(grids, [p for p, _ in primes])
+    coef = _interpolate(
+        _coefficient_bound(weights),
+        lambda p, root: (range(1, Ps + 1), range(1, Pt + 1)),
+        lambda p, points: _batch_det_mod(_evaluate(C, points, p), p)[:, None],
+    )
     return LaurentPoly2(
         {
-            (a + sshift, b + tshift): int(coef[a, b])
+            (a + sshift, b + tshift): int(coef[a, b, 0])
             for a in range(Ps)
             for b in range(Pt)
-            if coef[a, b]
+            if coef[a, b, 0]
         }
     )

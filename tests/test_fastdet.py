@@ -1,6 +1,7 @@
 """The modular/interpolation determinant engine against slow exact oracles."""
 
 import random
+from math import prod
 
 import numpy as np
 import pytest
@@ -10,18 +11,25 @@ from vknots.fastdet import (
     _block_minors_mod,
     _coefficient_bound,
     _corank2_factors,
+    _evaluate,
     _gauss_jordan_mod,
     _gaussian_setup,
+    _interpolate,
     _is_prime,
+    _num_primes_for,
     _primes,
+    _vand_inv,
     det_gaussian_many,
     det_gaussian_submatrices,
     det_laurent2,
 )
-from vknots.laurent import LaurentPoly, LaurentPoly2
+from vknots.gausscode import edge_structure
+from vknots.invariants import alexander_matrix
+from vknots.laurent import LaurentPoly, LaurentPoly2, normalize_unit
 from vknots.matrix import det_bareiss, det_cofactor
 from vknots.quaternion import GaussianLaurent
 
+from conftest import catalog_and_walk_codes
 from test_algebra import G_ONE, L2_ONE, L_ONE, rand_gaussian, rand_lpoly, rand_lpoly2
 
 
@@ -46,6 +54,71 @@ def test_prime_generator():
         assert _is_prime(p)
         assert p % 4 == 1
         assert (r * r + 1) % p == 0
+
+
+# --- the evaluate -> interpolate -> CRT core -------------------------------
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_vand_inv_inverts_vandermonde(k):
+    p, root = _primes(3)[k]
+    axes = [(root, p - root)]
+    axes += [tuple(range(1, P + 1)) for P in (1, 2, 3, 10, 41, 99, 150)]
+    for points in axes:
+        V = np.array([[pow(x, j, p) for j in range(len(points))] for x in points],
+                     dtype=np.int64).reshape(len(points), len(points))
+        assert np.array_equal(_vand_inv(points, p) @ V % p, np.eye(len(points))), points
+    # on the i axis it is the half-sum and the half-difference over 2 root
+    half, half_root = pow(2, -1, p), pow(2 * root, -1, p)
+    assert _vand_inv((root, p - root), p).tolist() == [
+        [half, half], [half_root, p - half_root]
+    ]
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_evaluate_then_interpolate_round_trip(big):
+    """Random coefficient arrays (n, n, D0 + 1, D1 + 1) come back exactly
+    from their values, on the s, t grid and on the i, t grid; above 2^63
+    the coefficients are Python ints and need several primes."""
+    rng = random.Random(7200 + big)
+    top = 2**70 if big else 1000
+    cases = [(1, 0, 0, False), (2, 3, 2, False), (3, 1, 4, False), (2, 1, 0, True),
+             (3, 1, 5, True)]
+    for n, d0, d1, gaussian in cases:
+        shape = (n, n, d0 + 1, d1 + 1)
+        C = np.array([rng.randint(-top, top) for _ in range(prod(shape))],
+                     dtype=object if big else np.int64).reshape(shape)
+        if big:
+            C[0, 0, 0, 0] = 2**63 + rng.randrange(2**63)
+            C[-1, -1, -1, -1] = -(2**64)
+        bound = int(np.abs(C).max())
+        if gaussian:
+            def grid(p, root):
+                return (root, p - root), range(1, d1 + 2)
+        else:
+            def grid(p, root):
+                return range(1, d0 + 2), range(1, d1 + 2)
+
+        def values(p, points):
+            return _evaluate(C, points, p).reshape(-1, n * n)
+
+        assert _num_primes_for(bound) >= 3 if big else _num_primes_for(bound) == 1
+        got = _interpolate(bound, grid, values)
+        assert got.dtype == (object if big else np.int64)
+        assert got.tolist() == C.transpose(2, 3, 0, 1).reshape(d0 + 1, d1 + 1, -1).tolist()
+
+
+def test_det_laurent2_matches_bareiss_on_alexander_matrices():
+    square = nonzero = 0
+    for code in catalog_and_walk_codes(6, 40, seed=92):
+        if not code.n_crossings or edge_structure(code).free_circles:
+            continue  # the relation matrix is not square
+        m = alexander_matrix(code)
+        want = normalize_unit(det_bareiss(m, LaurentPoly2.const(1)))
+        assert normalize_unit(det_laurent2(m)) == want, code
+        square += 1
+        nonzero += bool(want.terms)
+    assert square > 100 and 0 < nonzero < square
 
 
 def test_det_gaussian_many_matches_bareiss(rng):
