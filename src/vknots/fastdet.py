@@ -22,6 +22,19 @@ a + b i is the degree-1 polynomial a + b x.  The inverse Vandermonde
 matrix of those two points takes the half-sum and half-difference of the
 conjugate evaluations, which separates the real and imaginary parts.
 
+Doublings.  The complex doubling of a quaternionic matrix has 2 x 2
+blocks [[a, b], [-conj b, conj a]], so conj A = S A S^-1 with S the
+block-diagonal matrix of blocks [[0, 1], [-1, 0]] and det S = 1.  Hence
+det A is real, and so is every minor that deletes whole block rows and
+block columns, since deleting block r of S leaves a matrix of the same
+form.  When ``_is_doubling`` finds that structure exactly in the
+coefficient array (the rows as shifted, which is what is evaluated) and
+every selection asked for is such a block selection, the i axis is the
+one point +sqrt(-1): its inverse Vandermonde matrix is [1], so the
+interpolated coefficients are the real parts, and the evaluation,
+elimination and interpolation work halves.  Any other matrix or
+selection keeps the two-point axis.
+
 Coefficient bound.  On |t| = 1 an entry e = sum_k c_k t^k with K nonzero
 coefficients has |e| <= sum_k |c_k|.  The square of that is at most
 l1(e)^2 = (sum_k |Re c_k| + |Im c_k|)^2 and, by Cauchy-Schwarz, at most
@@ -507,16 +520,46 @@ def _gaussian_setup(mat):
     )
 
 
-def _interpolate_gaussian(D, L, values, shifts, var):
+def _is_doubling(coeffs):
+    """Whether a GaussianSetup coefficient array is a complex doubling:
+    every 2 x 2 block is [[a, b], [-conj b, conj a]], checked exactly over
+    Z (conj negates the i part, index 1 of axis 2)."""
+    n = coeffs.shape[0]
+    if n % 2:
+        return False
+    blk = coeffs.reshape(n // 2, 2, n // 2, 2, 2, -1)
+    a, b = blk[:, 0, :, 0], blk[:, 0, :, 1]
+    c, d = blk[:, 1, :, 0], blk[:, 1, :, 1]
+    return (
+        np.array_equal(c[:, :, 0], -b[:, :, 0])
+        and np.array_equal(c[:, :, 1], b[:, :, 1])
+        and np.array_equal(d[:, :, 0], a[:, :, 0])
+        and np.array_equal(d[:, :, 1], -a[:, :, 1])
+    )
+
+
+def _interpolate_gaussian(D, L, values, shifts, var, real):
     """Exact polynomials over Z[i] of degree <= D and coefficients of
     absolute value <= L, from their values: _interpolate on the axes
     i -> +/- sqrt(-1) and t = 1..D+1.  Returns them as GaussianLaurent,
     polynomial s multiplied by t^shifts[s].
+
+    real says every polynomial is known to be real (a doubling's block
+    minors): the i axis is then the one point +sqrt(-1), whose inverse
+    Vandermonde matrix is [1], so the coefficients read are the real
+    parts, and every imaginary part is one shared zero.
     """
-    coef = _interpolate(L, lambda p, root: ((root, p - root), range(1, D + 2)), values)
-    re, im = coef.transpose(0, 2, 1).tolist()
+    coef = _interpolate(
+        L,
+        lambda p, root: ((root,) if real else (root, p - root), range(1, D + 2)),
+        values,
+    )
+    re, *im = coef.transpose(0, 2, 1).tolist()
+    zero = LaurentPoly({}, var)
     return [
-        GaussianLaurent(_poly(re[s], shift, var), _poly(im[s], shift, var))
+        GaussianLaurent(
+            _poly(re[s], shift, var), _poly(im[0][s], shift, var) if im else zero
+        )
         for s, shift in enumerate(shifts)
     ]
 
@@ -529,7 +572,8 @@ def det_gaussian_many(mats, var="t"):
     """Exact determinants of matrices over Z[i][t, t^-1].
 
     Returns one GaussianLaurent per input matrix, batching all evaluation
-    work across matrices and primes.
+    work across matrices and primes.  When every matrix is a doubling the
+    i axis is the one point +sqrt(-1) (see the module docstring).
     """
     results: list = [None] * len(mats)
     zero = GaussianLaurent(LaurentPoly({}, var), LaurentPoly({}, var))
@@ -560,7 +604,8 @@ def det_gaussian_many(mats, var="t"):
             vals[:, js] = _chunked_det(stack, p).reshape(len(js), k).T
         return vals
 
-    dets = _interpolate_gaussian(D, L, values, [s for _i, _c, s in jobs], var)
+    real = all(_is_doubling(coeffs) for _idx, coeffs, _shift in jobs)
+    dets = _interpolate_gaussian(D, L, values, [s for _i, _c, s in jobs], var, real)
     for (idx, _coeffs, _shift), g in zip(jobs, dets):
         results[idx] = g
     return results
@@ -577,7 +622,9 @@ def det_gaussian_submatrices(mat, selections, var="t"):
     matrix, the full selection (every row and column) and the selections
     that delete one 2 x 2 block row and one block column are all read off
     one Gauss-Jordan elimination per evaluation point (see the module
-    docstring); any other selection is eliminated on its own.
+    docstring); any other selection is eliminated on its own.  When the
+    matrix is a doubling and every selection is one of those, the i axis
+    is the one point +sqrt(-1).
     """
     coeffs, shifts, degs, weights = (
         mat if isinstance(mat, GaussianSetup) else _gaussian_setup(mat)
@@ -629,8 +676,10 @@ def det_gaussian_submatrices(mat, selections, var="t"):
             vals[:, js] = _chunked_det(subs, p).reshape(len(js), len(stack)).T
         return vals
 
+    # a doubling's block minors are real (module docstring)
+    real = not direct and _is_doubling(coeffs)
     dets = _interpolate_gaussian(
-        D, L, values, [row_shift[rows] for _i, rows, _cols in live], var
+        D, L, values, [row_shift[rows] for _i, rows, _cols in live], var, real
     )
     for (i, _rows, _cols), g in zip(live, dets):
         results[i] = g

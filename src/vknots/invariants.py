@@ -344,6 +344,9 @@ def _fold_study_gcd(g, dets):
     for d in dets:
         if not d.im.is_zero():
             raise ArithmeticError("non-real Study determinant")
+        # g is normalized, so this means d = +-t^k g and gcd(g, d) = g
+        if not g.is_zero() and normalize_leadpos(d.re) == g:
+            continue
         g = poly_gcd(g, d.re)
         if g == LaurentPoly.const(1):
             break

@@ -1,11 +1,14 @@
 """The modular/interpolation determinant engine against slow exact oracles."""
 
 import random
+from collections import Counter
+from itertools import product
 from math import prod
 
 import numpy as np
 import pytest
 
+from vknots import fastdet
 from vknots.fastdet import (
     _batch_det_mod,
     _block_minors_mod,
@@ -15,6 +18,7 @@ from vknots.fastdet import (
     _gauss_jordan_mod,
     _gaussian_setup,
     _interpolate,
+    _is_doubling,
     _is_prime,
     _num_primes_for,
     _primes,
@@ -24,13 +28,21 @@ from vknots.fastdet import (
     det_laurent2,
 )
 from vknots.gausscode import edge_structure
-from vknots.invariants import alexander_matrix
+from vknots.invariants import alexander_matrix, doubled_setup, quaternionic_matrix
 from vknots.laurent import LaurentPoly, LaurentPoly2, normalize_unit
 from vknots.matrix import det_bareiss, det_cofactor
-from vknots.quaternion import GaussianLaurent
+from vknots.quaternion import GaussianLaurent, Quaternion, double_matrix
 
-from conftest import catalog_and_walk_codes
-from test_algebra import G_ONE, L2_ONE, L_ONE, rand_gaussian, rand_lpoly, rand_lpoly2
+from conftest import catalog_and_walk_codes, random_code
+from test_algebra import (
+    G_ONE,
+    L2_ONE,
+    L_ONE,
+    rand_gaussian,
+    rand_lpoly,
+    rand_lpoly2,
+    rand_quaternion,
+)
 
 
 def det_laurent_many(mats, var="t"):
@@ -487,3 +499,203 @@ def test_coefficient_bound_covers_bareiss_coefficients(rng):
             bound = _coefficient_bound(_weights(s))
             assert all(abs(c) <= bound for c in _coefficients(ds))
             assert det_laurent2(s) == ds
+
+
+# --- doublings: the one-point i axis ----------------------------------------
+
+
+def _block_selections(m):
+    """The full selection of a 2m x 2m matrix, then its m^2 block deletions."""
+    keep = [tuple(i for i in range(2 * m) if i // 2 != r) for r in range(m)]
+    everything = (tuple(range(2 * m)), tuple(range(2 * m)))
+    return [everything] + [(keep[r], keep[c]) for r in range(m) for c in range(m)]
+
+
+def _two_point(monkeypatch, fn, *args):
+    """fn(*args) with doublings unrecognised, so on the two-point i axis."""
+    with monkeypatch.context() as mp:
+        mp.setattr(fastdet, "_is_doubling", lambda coeffs: False)
+        return fn(*args)
+
+
+def _stack_sizes(monkeypatch, fn, *args, name="_block_minors_mod"):
+    """fn(*args), and the number of matrices in every stack that the
+    engine's elimination `name` got (one call per CRT prime)."""
+    sizes = []
+    real = getattr(fastdet, name)
+
+    def recording(a, p):
+        sizes.append(len(a))
+        return real(a, p)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fastdet, name, recording)
+        return fn(*args), sizes
+
+
+def _square_doubling(code):
+    """double_matrix of the quaternionic relation matrix without its
+    free-circle columns: the matrix doubled_setup(code) stands for."""
+    qmat = quaternionic_matrix(code)
+    return double_matrix([row[: len(qmat)] for row in qmat])
+
+
+def _doubling_codes():
+    """Catalog and walk codes with at most 5 crossings, then three random
+    10-crossing codes; each with crossings, and each once."""
+    codes = catalog_and_walk_codes(5, 40, seed=41)
+    codes += [random_code(random.Random(s), 10) for s in (1000, 1001, 1002)]
+    seen = set()
+    return [c for c in codes if c.n_crossings and not (c in seen or seen.add(c))]
+
+
+def test_doubled_setups_take_the_one_point_axis(monkeypatch):
+    codes = _doubling_codes()
+    assert len(codes) > 100 and max(c.n_crossings for c in codes) == 10
+    for k, code in enumerate(codes):
+        setup = doubled_setup(code)
+        assert _is_doubling(setup.coeffs), code
+        sels = _block_selections(len(setup.shifts) // 2)
+        fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, setup, sels)
+        D = sum(setup.degs)
+        assert len(sizes) == _num_primes_for(_coefficient_bound(setup.weights))
+        assert sizes == [D + 1] * len(sizes), code
+        assert all(d.im.is_zero() for d in fast)
+        assert fast == _two_point(monkeypatch, det_gaussian_submatrices, setup, sels)
+        dbl = _square_doubling(code)
+        assert fast[0] == det_bareiss(dbl, G_ONE), code
+        if code.n_crossings <= 3:
+            # one block minor per code, in turn, against Bareiss too
+            rows, cols = sels[1 + k % (len(sels) - 1)]
+            sub = [[dbl[r][c] for c in cols] for r in rows]
+            assert fast[1 + k % (len(sels) - 1)] == det_bareiss(sub, G_ONE), code
+
+
+def test_doubling_halves_agree_at_conjugate_points():
+    """conj A = S A S^-1 for a doubling: at i -> -sqrt(-1) the evaluated
+    matrices differ from those at +sqrt(-1), but det A and every block
+    minor agree, so the second half of the two-point axis is redundant."""
+    differ = 0
+    for code in _doubling_codes():
+        setup = doubled_setup(code)
+        ts = range(1, sum(setup.degs) + 2)
+        for p, root in _primes(2):
+            plus = _evaluate(setup.coeffs, ((root,), ts), p)
+            minus = _evaluate(setup.coeffs, ((p - root,), ts), p)
+            differ += not np.array_equal(plus, minus)
+            for a, b in zip(_block_minors_mod(plus, p), _block_minors_mod(minus, p)):
+                assert np.array_equal(a, b), code
+    assert differ
+
+
+def _big_quaternion(rng):
+    """A random quaternion whose coefficients reach past 2^63."""
+    def poly():
+        return LaurentPoly({k: rng.choice((-1, 1)) * (2**63 + rng.randrange(2**66))
+                            for k in rng.sample(range(-2, 3), rng.randint(0, 2))})
+
+    return Quaternion(poly(), poly(), poly(), poly())
+
+
+def test_big_doublings_take_the_one_point_axis(monkeypatch):
+    rng = random.Random(7300)
+    for m in (1, 2, 3):
+        qmat = [[_big_quaternion(rng) for _ in range(m)] for _ in range(m)]
+        dbl = double_matrix(qmat)
+        setup = _gaussian_setup(dbl)
+        assert setup.coeffs.dtype == object and _is_doubling(setup.coeffs)
+        sels = _block_selections(m)
+        fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, setup, sels)
+        assert len(sizes) >= 3 and sizes == [sum(setup.degs) + 1] * len(sizes)
+        assert fast == _two_point(monkeypatch, det_gaussian_submatrices, setup, sels)
+        for (rows, cols), d in zip(sels, fast):
+            sub = [[dbl[r][c] for c in cols] for r in rows]
+            assert d == det_bareiss(sub, G_ONE)
+        assert not fast[0].is_zero()
+
+
+def test_doubling_with_other_selections_keeps_two_points(monkeypatch):
+    """A minor that deletes one row and one column of a doubling need not
+    be real: with such a selection in the list, every selection is
+    interpolated on the two-point axis."""
+    rng = random.Random(7304)
+    dbl = double_matrix([[rand_quaternion(rng) for _ in range(2)] for _ in range(2)])
+    setup = _gaussian_setup(dbl)
+    assert _is_doubling(setup.coeffs)
+    sels = _block_selections(2) + [
+        (tuple(x for x in range(4) if x != i), tuple(y for y in range(4) if y != j))
+        for i in range(4)
+        for j in range(4)
+    ]
+    fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, setup, sels)
+    assert sizes == [2 * (sum(setup.degs) + 1)] * len(sizes)
+    for (rows, cols), d in zip(sels, fast):
+        assert d == det_bareiss([[dbl[r][c] for c in cols] for r in rows], G_ONE)
+    assert any(not d.im.is_zero() for d in fast[len(_block_selections(2)):])
+
+
+def _many_stack_sizes(mats, i_points):
+    """The sorted stack sizes det_gaussian_many hands _chunked_det: one
+    stack per matrix size and CRT prime, i_points * (D + 1) evaluation
+    points per nonzero matrix."""
+    live = [s for s in map(_gaussian_setup, mats) if all(s.weights)]
+    D = max(sum(s.degs) for s in live)
+    primes = _num_primes_for(max(_coefficient_bound(s.weights) for s in live))
+    per_size = Counter(len(s.shifts) for s in live).values()
+    return sorted([i_points * (D + 1) * k for k in per_size] * primes)
+
+
+def test_det_gaussian_many_takes_the_one_point_axis_on_doublings(monkeypatch):
+    rng = random.Random(7301)
+    dbls = [double_matrix([[rand_quaternion(rng) for _ in range(m)] for _ in range(m)])
+            for m in (1, 2, 2, 3)]
+    fast, sizes = _stack_sizes(
+        monkeypatch, det_gaussian_many, dbls, name="_chunked_det"
+    )
+    assert sorted(sizes) == _many_stack_sizes(dbls, 1)
+    assert all(d.im.is_zero() for d in fast)
+    assert fast == _two_point(monkeypatch, det_gaussian_many, dbls)
+    assert fast == [det_bareiss(d, G_ONE) for d in dbls]
+    # one matrix that is no doubling puts the whole batch on two points
+    mats = [*dbls, [[rand_gaussian(rng) for _ in range(4)] for _ in range(4)]]
+    fast, sizes = _stack_sizes(
+        monkeypatch, det_gaussian_many, mats, name="_chunked_det"
+    )
+    assert sorted(sizes) == _many_stack_sizes(mats, 2)
+    assert fast == [det_bareiss(d, G_ONE) for d in mats]
+    assert not fast[-1].im.is_zero()
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_is_doubling_rejects_every_single_coefficient_perturbation(monkeypatch, big):
+    """A change to one real or imaginary coefficient of any cell of a block
+    breaks the structure: the matrix goes to the two-point axis, and its
+    determinant and block minors still match Bareiss."""
+    rng = random.Random(7302 + big)
+    m = 3
+    qmat = [[_big_quaternion(rng) if big else rand_quaternion(rng) for _ in range(m)]
+            for _ in range(m)]
+    dbl = double_matrix(qmat)
+    assert _is_doubling(_gaussian_setup(dbl).coeffs)
+    assert (_gaussian_setup(dbl).coeffs.dtype == object) == big
+    sels = _block_selections(m)
+    complex_dets = 0
+    for dr, dc, part in product(range(2), range(2), range(2)):
+        br, bc = rng.randrange(m), rng.randrange(m)
+        r, c = 2 * br + dr, 2 * bc + dc
+        e = dbl[r][c]
+        k = min([*e.re.terms, *e.im.terms], default=0)
+        old = (e.im if part else e.re).terms.get(k, 0)
+        bump = LaurentPoly({k: 2 if old == -1 else 1})
+        pert = [row[:] for row in dbl]
+        pert[r][c] = e + (GaussianLaurent(LaurentPoly({}), bump) if part
+                          else GaussianLaurent(bump, LaurentPoly({})))
+        setup = _gaussian_setup(pert)
+        assert not _is_doubling(setup.coeffs), (dr, dc, part)
+        fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, pert, sels)
+        assert sizes == [2 * (sum(setup.degs) + 1)] * len(sizes)
+        for (rows, cols), d in zip(sels, fast):
+            sub = [[pert[i][j] for j in cols] for i in rows]
+            assert d == det_bareiss(sub, G_ONE), (dr, dc, part)
+        complex_dets += not fast[0].im.is_zero()
+    assert complex_dets

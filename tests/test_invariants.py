@@ -451,6 +451,35 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
     assert others == dict.fromkeys(others, 0)
 
 
+def _fold_calls_without_skip(dets):
+    """poly_gcd calls of the fold that only stops at 1."""
+    g, calls = LaurentPoly({}), 0
+    for d in dets:
+        g, calls = poly_gcd(g, d.re), calls + 1
+        if g == LaurentPoly.const(1):
+            break
+    return calls
+
+
+def test_fold_study_gcd_skips_only_steps_that_cannot_change_it(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        invariants, "poly_gcd", lambda a, b: calls.append(1) or poly_gcd(a, b)
+    )
+    made = unskipped = 0
+    for code in _quaternionic_codes(5, 40, seed=34):
+        setup = doubled_setup(code)
+        sels = invariants._codim1_selections(len(setup.shifts) // 2)
+        dets = invariants.det_gaussian_submatrices(setup, sels)
+        calls.clear()
+        fold = invariants._fold_study_gcd(LaurentPoly({}), dets)
+        assert fold == _fold_gcd(dets), code
+        assert len(calls) <= _fold_calls_without_skip(dets), code
+        made += len(calls)
+        unskipped += _fold_calls_without_skip(dets)
+    assert made < unskipped
+
+
 def _reference_quaternionic_invariant(code):
     """quaternionic_invariant as it was before the single engine call: the
     Study determinant by det_gaussian_many and codim1_gcd, each on its own
