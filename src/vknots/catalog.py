@@ -28,6 +28,7 @@ assertions, not the drawing, are the source of truth here.
 
 from dataclasses import dataclass, field
 
+from .fastdet import det_laurent2
 from .gausscode import (
     GaussCodeError,
     inter_component_parity,
@@ -123,6 +124,15 @@ def _iq_count_equals(n, expected):
     return check
 
 
+def _first_minors(mat):
+    """(i, j, det) for every first minor of a square matrix over
+    Z[s, s^-1, t, t^-1], the one without row i and column j."""
+    for i in range(len(mat)):
+        rows = mat[:i] + mat[i + 1 :]
+        for j in range(len(mat)):
+            yield i, j, det_laurent2([row[:j] + row[j + 1 :] for row in rows])
+
+
 def _module_relation_nontrivial(code):
     """The codimension-1 Alexander ideal is generated by -s(s^-1 - t - 1).
 
@@ -131,24 +141,19 @@ def _module_relation_nontrivial(code):
     unit multiple of r, which pins the gcd to r up to units.
     """
     from .invariants import alexander_matrix
-    from .matrix import det_cofactor, minor_matrix
 
     r = LaurentPoly2({(1, 1): 1, (1, 0): 1, (0, 0): -1})
     r_norm = normalize_unit(r)
-    mat = alexander_matrix(code)
-    n = len(mat)
     unit_hit = False
-    for i in range(n):
-        for j in range(n):
-            d = det_cofactor(minor_matrix(mat, [i], [j]))
-            if d.is_zero():
-                continue
-            try:
-                d.exact_div(r)
-            except ArithmeticError:
-                return False, f"minor ({i},{j}) not divisible by s*t + s - 1"
-            if normalize_unit(d) == r_norm:
-                unit_hit = True
+    for i, j, d in _first_minors(alexander_matrix(code)):
+        if d.is_zero():
+            continue
+        try:
+            d.exact_div(r)
+        except ArithmeticError:
+            return False, f"minor ({i},{j}) not divisible by s*t + s - 1"
+        if normalize_unit(d) == r_norm:
+            unit_hit = True
     if not unit_hit:
         return False, "no first minor is a unit multiple of s*t + s - 1"
     return True, "codim-1 ideal = (s*t + s - 1)"

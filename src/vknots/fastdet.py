@@ -9,31 +9,29 @@ evaluation/interpolation scheme:
   determinant picks up a known monomial factor),
 * bound the degree (sum of per-row maxima) and the coefficients (below),
 * evaluate the matrix on a two-axis grid of points modulo several
-  primes (``_evaluate``), run batched division-free elimination in numpy,
-  interpolate the coefficients with a cached inverse Vandermonde matrix
-  per axis, and lift by the Chinese remainder theorem with symmetric
+  primes, run batched division-free elimination in numpy, interpolate
+  the coefficients with a cached inverse Vandermonde matrix per axis,
+  and lift by the Chinese remainder theorem with symmetric
   representatives (``_interpolate``, the one loop over primes).
 
-Over Z[s, t] the axes are s = 1..Ps and t = 1..Pt.  Gaussian-integer
-coefficients are handled with primes p = 1 (mod 4): Z[i] = Z[x]/(x^2 + 1)
-and the two roots +/- sqrt(-1) of x^2 + 1 mod p are ring maps, so the i
-axis is one more interpolation axis with points +/- sqrt(-1), on which
-a + b i is the degree-1 polynomial a + b x.  The inverse Vandermonde
-matrix of those two points takes the half-sum and half-difference of the
-conjugate evaluations, which separates the real and imaginary parts.
+Over Z[s, t] (``det_laurent2``) the axes are s = 1..Ps and t = 1..Pt.
 
-Doublings.  The complex doubling of a quaternionic matrix has 2 x 2
-blocks [[a, b], [-conj b, conj a]], so conj A = S A S^-1 with S the
-block-diagonal matrix of blocks [[0, 1], [-1, 0]] and det S = 1.  Hence
-det A is real, and so is every minor that deletes whole block rows and
-block columns, since deleting block r of S leaves a matrix of the same
-form.  When ``_is_doubling`` finds that structure exactly in the
-coefficient array (the rows as shifted, which is what is evaluated) and
-every selection asked for is such a block selection, the i axis is the
-one point +sqrt(-1): its inverse Vandermonde matrix is [1], so the
-interpolated coefficients are the real parts, and the evaluation,
-elimination and interpolation work halves.  Any other matrix or
-selection keeps the two-point axis.
+Quaternionic matrices.  An m x m matrix Q over H[t, t^-1] (quaternions
+w + x i + y j + z k with integer Laurent coefficients) is read as the
+array of its four components, ``QuaternionSetup``.  Its complex doubling
+A is the 2m x 2m matrix over Z[i][t, t^-1] of blocks [[w + x i, y + z i],
+[-y + z i, w - x i]] = [[a, b], [-conj b, conj a]], and det A is the
+Study determinant of Q (Aslaksen, "Quaternionic determinants", Math.
+Intelligencer 18, 1996).  conj A = S A S^-1 with S the block-diagonal
+matrix of blocks [[0, 1], [-1, 0]] and det S = 1.  Hence det A is real,
+and so is every minor that deletes whole block rows and block columns,
+since deleting block r of S leaves a matrix of the same form.  The
+primes are p = 1 (mod 4), and A is assembled only when it is evaluated:
+at i -> +sqrt(-1) mod p, a ring map Z[i] -> F_p that leaves a real
+polynomial's coefficients as they are, and at t = 1..D+1.  To
+``_interpolate`` that is an i axis of the one point +sqrt(-1), whose
+inverse Vandermonde matrix is [1], so the coefficients read are those of
+the real determinants.
 
 Coefficient bound.  On |t| = 1 an entry e = sum_k c_k t^k with K nonzero
 coefficients has |e| <= sum_k |c_k|.  The square of that is at most
@@ -48,18 +46,20 @@ torus |s| = |t| = 1 gives it for two variables.  Monomial row shifts keep
 |entry| on the circle and deleting columns only lowers row norms, so one
 bound from the rows serves every shifted matrix and every submatrix on
 those rows.  It is kept exact as isqrt(prod_r sum_j weight(e_rj)) + 1, and
-the primes are chosen so that their product exceeds twice it.
+the primes are chosen so that their product exceeds twice it.  Row r of Q
+stands for two rows of A with the same shift, degree and weight
+sum_c weight(w + x i) + weight(y + z i), so for A it is prod_r weight_r + 1.
 
-Block minors.  The quaternionic pair needs, for an N x N doubled matrix
+Block minors.  The quaternionic pair needs, for the N x N doubling
 (N = 2m), det A and the m^2 minors that delete one 2 x 2 block row r and
-one block column c.  ``det_gaussian_submatrices`` recognises these
-selections (the full one included) and, at every evaluation point, gets
-all of them from one division-free Gauss-Jordan elimination T [A | I] =
-[R | T] mod p, with det T = sign * lead^N (lead the product of the
-pivots) and d the pivots left on R's diagonal.  The degree and
-coefficient bounds of the full selection cover every minor, so with it
-present one set of evaluation points and primes serves all.  The rule is
-picked by the rank of the evaluated matrix A over F_p:
+one block column c.  ``det_gaussian_submatrices`` takes these selections
+(the full one included; any other raises ValueError) and, at every
+evaluation point, gets all of them from one division-free Gauss-Jordan
+elimination T [A | I] = [R | T] mod p, with det T = sign * lead^N (lead
+the product of the pivots) and d the pivots left on R's diagonal.  The
+degree and coefficient bounds of the full selection cover every minor, so
+with it present one set of evaluation points and primes serves all.  The
+rule is picked by the rank of the evaluated matrix A over F_p:
 
 * rank N: det A = prod(d) / det T, and by Jacobi's complementary-minor
   identity minor(r, c) = det A * det (A^-1)[{2c, 2c+1}, {2r, 2r+1}]
@@ -93,7 +93,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .laurent import LaurentPoly, LaurentPoly2
-from .quaternion import GaussianLaurent
 
 _PRIME_START = 15_000_000
 _prime_cache: list[tuple[int, int]] = []  # (p, sqrt(-1) mod p)
@@ -451,17 +450,18 @@ def _coefficient_bound(weights):
     return isqrt(prod(weights)) + 1
 
 
-class GaussianSetup(NamedTuple):
-    """A square matrix over Z[i][t, t^-1] in the form the engine reads.
+class QuaternionSetup(NamedTuple):
+    """An m x m matrix over H[t, t^-1] in the form the engine reads.
 
     Each row is shifted by a monomial so its least exponent is 0.
-    coeffs, of shape (n, n, 2, deg + 1), holds at [r, c, k, d] the
-    coefficient of i^k t^d in entry (r, c): axis 2 is the i axis, k = 0
-    real and k = 1 imaginary.  Its dtype is int64, or object (Python ints)
-    when a coefficient does not fit, so that every one reduces exactly
-    mod p.  shifts, degs and weights are per-row lists of Python ints:
-    the shift, the degree after shifting and the weight (see
-    _coefficient_bound).  A zero row has shift 0, degree 0 and weight 0.
+    coeffs, of shape (m, m, 4, deg + 1), holds at [r, c, k, d] the
+    coefficient of t^d in component k (of 1, i, j, k) of entry (r, c).
+    Its dtype is int64, or object (Python ints) when a coefficient does
+    not fit, so that every one reduces exactly mod p.  shifts, degs and
+    weights are per-row lists of Python ints: the shift, the degree after
+    shifting and the weight (see _coefficient_bound) of each of the row's
+    two rows in the doubling.  A zero row has shift 0, degree 0 and
+    weight 0.
     """
 
     coeffs: np.ndarray
@@ -470,229 +470,144 @@ class GaussianSetup(NamedTuple):
     weights: list
 
 
-def gaussian_setup_from_terms(n, terms):
-    """The GaussianSetup of the n x n matrix over Z[i][t, t^-1] that is the
-    sum of the given terms (part, row, col, exponent, value), part 0 real
-    and 1 imaginary.  Terms at one place add up, and shifts, degrees and
-    weights are read from the sums, one pass over them.
+def quaternion_setup(m, terms):
+    """The QuaternionSetup of the m x m matrix over H[t, t^-1] that is the
+    sum of the given terms (row, col, w, x, y, z, e), each the entry
+    (w + x i + y j + z k) t^e.  Terms at one place add up, and shifts,
+    degrees and weights are read from the sums.
     """
-    acc = {}
-    for part, r, c, d, v in terms:
-        key = (part, r, c, d)
-        acc[key] = acc.get(key, 0) + v
-    acc = {k: v for k, v in acc.items() if v}
-    lo, hi = {}, {}
-    entries = {}  # (r, c) -> [l1, sum of squares, exponents]
-    for (_part, r, c, d), v in acc.items():
-        lo[r] = min(lo.get(r, d), d)
-        hi[r] = max(hi.get(r, d), d)
-        ent = entries.setdefault((r, c), [0, 0, set()])
-        ent[0] += abs(v)
-        ent[1] += v * v
-        ent[2].add(d)
-    shifts = [lo.get(r, 0) for r in range(n)]
-    degs = [hi.get(r, 0) - shifts[r] for r in range(n)]
-    weights = [0] * n
-    for (r, _c), (l1, sq, exps) in entries.items():
-        weights[r] += min(l1 * l1, len(exps) * sq)
-    small = all(-(2**63) < v < 2**63 for v in acc.values())
-    coeffs = np.zeros((n, n, 2, max(degs, default=0) + 1),
-                      dtype=np.int64 if small else object)
-    if acc:
-        part, rows, cols, exps = zip(*acc)
-        coeffs[rows, cols, part, [d - shifts[r] for r, d in zip(rows, exps)]] = list(
-            acc.values()
-        )
-    return GaussianSetup(coeffs, shifts, degs, weights)
+    T = np.array(terms)
+    if T.dtype != np.int64:  # a coefficient past int64, or no terms at all
+        T = np.array(terms, dtype=object).reshape(-1, 7)
+    rows, cols, exps = (T[:, k].astype(np.int64) for k in (0, 1, 6))
+    vals = T[:, 2:6]
+    lim = max(-int(vals.min(initial=0)), int(vals.max(initial=0)))
+    e0, e1 = (int(exps.min()), int(exps.max())) if len(T) else (0, 0)
+    E = e1 - e0 + 1
+    # with lim * len(T) < 2^63 no sum of coefficients can leave int64
+    small = lim * len(T) < 2**63
+    acc = np.zeros((m, m, 4, E), dtype=np.int64 if small else object)
+    np.add.at(acc, (rows, cols, slice(None), exps - e0), vals.astype(acc.dtype))
+    if not small and np.abs(acc).max() < 2**63:
+        acc = acc.astype(np.int64)
+    support = (acc != 0).any(axis=(1, 2))  # (m, E): the exponents of each row
+    live = support.any(axis=1)
+    lo = support.argmax(axis=1)
+    hi = np.where(live, E - 1 - support[:, ::-1].argmax(axis=1), lo)
+    degs = hi - lo
+    coeffs = np.zeros((m, m, 4, int(degs.max(initial=0)) + 1), dtype=acc.dtype)
+    for r in range(m):
+        coeffs[r, :, :, : degs[r] + 1] = acc[r, :, :, lo[r] : hi[r] + 1]
+    # the complex pairs (w + x i, y + z i) of every entry; an entry's l1^2
+    # and K * sum |c|^2 are at most E * (4 lim len(T))^2, so where that
+    # leaves int64 they are taken in Python ints
+    z = acc if E * (4 * lim * len(T)) ** 2 < 2**63 else acc.astype(object)
+    z = z.reshape(m, m, 2, 2, E)
+    l1 = np.abs(z).sum(axis=(3, 4))
+    sq = (z * z).sum(axis=(3, 4))
+    K = (z != 0).any(axis=3).sum(axis=3)
+    weights = np.minimum(l1 * l1, K * sq).sum(axis=(1, 2))
+    shifts = np.where(live, lo + e0, 0)
+    return QuaternionSetup(coeffs, shifts.tolist(), degs.tolist(), weights.tolist())
 
 
-def _gaussian_setup(mat):
-    """The GaussianSetup of a square matrix over Z[i][t, t^-1]."""
-    return gaussian_setup_from_terms(
-        len(mat),
-        [
-            (part, r, c, d, v)
-            for r, row in enumerate(mat)
-            for c, e in enumerate(row)
-            for part, tbl in ((0, e.re.terms), (1, e.im.terms))
-            for d, v in tbl.items()
-        ],
-    )
+def _evaluate_doubling(coeffs, root, ts, p):
+    """The complex doubling of sum_d coeffs[:, :, :, d] t^d mod p at
+    i -> root (a square root of -1 mod p) and at every t in ts: a stack of
+    shape (len(ts), 2m, 2m) of blocks [[w + x root, y + z root],
+    [-y + z root, w - x root]]."""
+    m = coeffs.shape[0]
+    c = (coeffs % p).astype(np.int64)
+    v = np.tensordot(c, _powers(ts, c.shape[3] - 1, p), axes=([3], [1])) % p
+    w, x, y, z = (v[:, :, k] for k in range(4))
+    xr, zr = x * root % p, z * root % p
+    blocks = np.stack([w + xr, y + zr, zr - y, w - xr]) % p
+    blocks = blocks.reshape(2, 2, m, m, -1).transpose(4, 2, 0, 3, 1)
+    return blocks.reshape(-1, 2 * m, 2 * m)
 
 
-def _is_doubling(coeffs):
-    """Whether a GaussianSetup coefficient array is a complex doubling:
-    every 2 x 2 block is [[a, b], [-conj b, conj a]], checked exactly over
-    Z (conj negates the i part, index 1 of axis 2)."""
-    n = coeffs.shape[0]
-    if n % 2:
-        return False
-    blk = coeffs.reshape(n // 2, 2, n // 2, 2, 2, -1)
-    a, b = blk[:, 0, :, 0], blk[:, 0, :, 1]
-    c, d = blk[:, 1, :, 0], blk[:, 1, :, 1]
-    return (
-        np.array_equal(c[:, :, 0], -b[:, :, 0])
-        and np.array_equal(c[:, :, 1], b[:, :, 1])
-        and np.array_equal(d[:, :, 0], a[:, :, 0])
-        and np.array_equal(d[:, :, 1], -a[:, :, 1])
-    )
+def _poly(coeffs, shift):
+    return LaurentPoly({d + shift: c for d, c in enumerate(coeffs) if c})
 
 
-def _interpolate_gaussian(D, L, values, shifts, var, real):
-    """Exact polynomials over Z[i] of degree <= D and coefficients of
-    absolute value <= L, from their values: _interpolate on the axes
-    i -> +/- sqrt(-1) and t = 1..D+1.  Returns them as GaussianLaurent,
-    polynomial s multiplied by t^shifts[s].
+def block_selections(m):
+    """The selections (rows, cols) of the 2m x 2m doubling that
+    det_gaussian_submatrices reads off one elimination: the full one, then
+    the m^2 that delete block row r = {2r, 2r+1} and block column c,
+    diagonal ones first (a gcd fold stops at 1, and the diagonal minors
+    often reach it)."""
+    keep = [tuple(i for i in range(2 * m) if i // 2 != r) for r in range(m)]
+    pairs = [(r, r) for r in range(m)]
+    pairs += [(r, c) for r in range(m) for c in range(m) if r != c]
+    everything = tuple(range(2 * m))
+    return [(everything, everything)] + [(keep[r], keep[c]) for r, c in pairs]
 
-    real says every polynomial is known to be real (a doubling's block
-    minors): the i axis is then the one point +sqrt(-1), whose inverse
-    Vandermonde matrix is [1], so the coefficients read are the real
-    parts, and every imaginary part is one shared zero.
+
+def det_gaussian_many(setups):
+    """Exact determinants of the complex doublings of many quaternionic
+    matrices, given as QuaternionSetups: one LaurentPoly each."""
+    out = []
+    for setup in setups:
+        everything = tuple(range(2 * len(setup.shifts)))
+        out += det_gaussian_submatrices(setup, [(everything, everything)])
+    return out
+
+
+def det_gaussian_submatrices(setup, selections):
+    """Exact determinants of block submatrices of the complex doubling of
+    a quaternionic matrix.
+
+    setup is the QuaternionSetup of the m x m matrix.  selections is a
+    list of (rows, cols) index tuples into the 2m x 2m doubling, each the
+    full selection or one deleting one block row and one block column (see
+    block_selections); any other raises ValueError.  Returns one
+    LaurentPoly per selection, all read off one Gauss-Jordan elimination
+    per evaluation point (see the module docstring).
     """
-    coef = _interpolate(
-        L,
-        lambda p, root: ((root,) if real else (root, p - root), range(1, D + 2)),
-        values,
-    )
-    re, *im = coef.transpose(0, 2, 1).tolist()
-    zero = LaurentPoly({}, var)
-    return [
-        GaussianLaurent(
-            _poly(re[s], shift, var), _poly(im[0][s], shift, var) if im else zero
-        )
-        for s, shift in enumerate(shifts)
-    ]
-
-
-def _poly(coeffs, shift, var):
-    return LaurentPoly({d + shift: c for d, c in enumerate(coeffs) if c}, var)
-
-
-def det_gaussian_many(mats, var="t"):
-    """Exact determinants of matrices over Z[i][t, t^-1].
-
-    Returns one GaussianLaurent per input matrix, batching all evaluation
-    work across matrices and primes.  When every matrix is a doubling the
-    i axis is the one point +sqrt(-1) (see the module docstring).
-    """
-    results: list = [None] * len(mats)
-    zero = GaussianLaurent(LaurentPoly({}, var), LaurentPoly({}, var))
-    jobs = []  # (idx, coefficient arrays, total shift)
-    D, L = 0, 1
-    for idx, mat in enumerate(mats):
-        if not mat:
-            results[idx] = GaussianLaurent.const(1, 0, var)
-            continue
-        coeffs, shifts, degs, weights = _gaussian_setup(mat)
-        if not all(weights):
-            results[idx] = zero
-            continue
-        jobs.append((idx, coeffs, sum(shifts)))
-        D = max(D, sum(degs))
-        L = max(L, _coefficient_bound(weights))
-    if not jobs:
-        return results
-    by_size: dict[int, list] = {}
-    for j, (_idx, coeffs, _shift) in enumerate(jobs):
-        by_size.setdefault(coeffs.shape[0], []).append(j)
-
-    def values(p, points):
-        k = len(points[0]) * len(points[1])
-        vals = np.empty((k, len(jobs)), dtype=np.int64)
-        for js in by_size.values():
-            stack = np.concatenate([_evaluate(jobs[j][1], points, p) for j in js])
-            vals[:, js] = _chunked_det(stack, p).reshape(len(js), k).T
-        return vals
-
-    real = all(_is_doubling(coeffs) for _idx, coeffs, _shift in jobs)
-    dets = _interpolate_gaussian(D, L, values, [s for _i, _c, s in jobs], var, real)
-    for (idx, _coeffs, _shift), g in zip(jobs, dets):
-        results[idx] = g
-    return results
-
-
-def det_gaussian_submatrices(mat, selections, var="t"):
-    """Exact determinants of many square submatrices of one matrix over
-    Z[i][t, t^-1].
-
-    mat is the matrix, or its GaussianSetup when the caller has built that
-    already.  selections is a list of (rows, cols) index tuples (equal
-    lengths).  The base matrix is evaluated once per prime and each
-    submatrix is a slice of the evaluated stack.  For an even-sized
-    matrix, the full selection (every row and column) and the selections
-    that delete one 2 x 2 block row and one block column are all read off
-    one Gauss-Jordan elimination per evaluation point (see the module
-    docstring); any other selection is eliminated on its own.  When the
-    matrix is a doubling and every selection is one of those, the i axis
-    is the one point +sqrt(-1).
-    """
-    coeffs, shifts, degs, weights = (
-        mat if isinstance(mat, GaussianSetup) else _gaussian_setup(mat)
-    )
-    n = len(shifts)
-    if n == 0:
-        return [GaussianLaurent.const(1, 0, var) for _ in selections]
-    zero = GaussianLaurent(LaurentPoly({}, var), LaurentPoly({}, var))
-    results = [zero] * len(selections)
+    coeffs, shifts, degs, weights = setup
+    m = len(shifts)
+    if m == 0:
+        return [LaurentPoly.const(1) for _ in selections]
+    block_of = {tuple(k): r for r, k in enumerate(_block_keep(m).tolist())}
+    block_of[tuple(range(2 * m))] = m  # the full selection
+    blocks = []
+    for rows, cols in selections:
+        rc = (block_of.get(tuple(rows)), block_of.get(tuple(cols)))
+        if None in rc or (m in rc and rc != (m, m)):
+            raise ValueError(f"not a block selection of the doubling: {rows}, {cols}")
+        blocks.append(rc)
+    results = [LaurentPoly({})] * len(selections)
     zero_rows = {r for r, w in enumerate(weights) if not w}
-    live = [
-        (i, tuple(rows), tuple(cols))
-        for i, (rows, cols) in enumerate(selections)
-        if zero_rows.isdisjoint(rows)
-    ]
+    live = [(i, r, c) for i, (r, c) in enumerate(blocks) if zero_rows <= {r}]
     if not live:
         return results
-    row_shift = {
-        rows: sum(shifts[r] for r in rows) for rows in {rows for _i, rows, _c in live}
-    }
-    D = max(sum(degs[r] for r in rows) for rows in row_shift)
-    L = max(_coefficient_bound(weights[r] for r in rows) for rows in row_shift)
-    m = n // 2
-    block_of = {}  # block r deleted -> r; the full selection -> m
-    if n % 2 == 0:
-        block_of = {tuple(k): r for r, k in enumerate(_block_keep(m).tolist())}
-        block_of[tuple(range(n))] = m
-    blocks, direct = [], {}
-    for j, (_i, rows, cols) in enumerate(live):
-        rc = (block_of.get(rows), block_of.get(cols))
-        if None in rc:
-            direct.setdefault(len(rows), []).append(j)
-        else:
-            blocks.append((j, *rc))
+    kept = {r: [q for q in range(m) if q != r] for _i, r, _c in live}
+    # each row of the quaternionic matrix is two rows of the doubling
+    row_shift = {r: 2 * sum(shifts[q] for q in qs) for r, qs in kept.items()}
+    D = max(2 * sum(degs[q] for q in qs) for qs in kept.values())
+    L = max(prod(weights[q] for q in qs) for qs in kept.values()) + 1
+    rs, cs = [r for _i, r, _c in live], [c for _i, _r, c in live]
 
     def values(p, points):
-        stack = _evaluate(coeffs, points, p)
-        vals = np.empty((len(stack), len(live)), dtype=np.int64)
-        if blocks:
-            js, rs, cs = (list(x) for x in zip(*blocks))
-            det, minors = _block_minors_mod(stack, p)
-            table = np.pad(minors, ((0, 0), (0, 1), (0, 1)))
-            table[:, m, m] = det
-            vals[:, js] = table[:, rs, cs]
-        for js in direct.values():
-            subs = np.concatenate(
-                [stack[:, list(live[j][1])][:, :, list(live[j][2])] for j in js]
-            )
-            vals[:, js] = _chunked_det(subs, p).reshape(len(js), len(stack)).T
-        return vals
+        (root,), ts = points
+        det, minors = _block_minors_mod(_evaluate_doubling(coeffs, root, ts, p), p)
+        table = np.pad(minors, ((0, 0), (0, 1), (0, 1)))
+        table[:, m, m] = det
+        return table[:, rs, cs]
 
-    # a doubling's block minors are real (module docstring)
-    real = not direct and _is_doubling(coeffs)
-    dets = _interpolate_gaussian(
-        D, L, values, [row_shift[rows] for _i, rows, _cols in live], var, real
-    )
-    for (i, _rows, _cols), g in zip(live, dets):
-        results[i] = g
+    coef = _interpolate(L, lambda p, root: ((root,), range(1, D + 2)), values)
+    for (i, r, _c), cf in zip(live, coef[0].T.tolist()):
+        results[i] = _poly(cf, row_shift[r])
     return results
 
 
 def det_laurent2(mat):
     """Exact determinant of a matrix over Z[s, s^-1, t, t^-1].
 
-    Each row is read once, as in _gaussian_setup: it is shifted by a
-    monomial so its least s and t exponents are 0, and its terms go
-    straight into one coefficient array (int64 when every coefficient
-    fits), which _interpolate reads on the axes s = 1..Ps and t = 1..Pt.
+    Each row is read once: it is shifted by a monomial so its least s and
+    t exponents are 0, and its terms go straight into one coefficient
+    array (int64 when every coefficient fits), which _interpolate reads on
+    the axes s = 1..Ps and t = 1..Pt.
     """
     n = len(mat)
     if n == 0:

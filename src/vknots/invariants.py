@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 from .budget import BudgetError, read_budget
 from .fastdet import (
+    block_selections,
     det_gaussian_many,
     det_gaussian_submatrices,
     det_laurent2,
-    gaussian_setup_from_terms,
+    quaternion_setup,
 )
 from .gausscode import diagram_pieces, edge_structure, label_signs
 from .laurent import (
@@ -24,7 +25,7 @@ from .laurent import (
     normalize_unit,
     poly_gcd,
 )
-from .quaternion import GaussianLaurent, Quaternion, double_matrix
+from .quaternion import Quaternion
 
 # --- state smoothing geometry ---------------------------------------------
 #
@@ -272,8 +273,9 @@ def _q(w=0, x=0, y=0, z=0, tpow=0):
 
 
 def _quaternionic_terms(code, es, signs):
-    """(row, column, w, x, y, tpow) for each term (w + x i + y j) t^tpow
-    of the quaternionic relation matrix, one pair of rows per crossing."""
+    """(row, column, w, x, y, z, tpow) for each term
+    (w + x i + y j + z k) t^tpow of the quaternionic relation matrix, one
+    pair of rows per crossing."""
     terms = []
     for k, label in enumerate(code.labels):
         o_in, o_out, u_in, u_out = es.crossing_edges[label]
@@ -281,13 +283,13 @@ def _quaternionic_terms(code, es, signs):
         r1, r2 = 2 * k, 2 * k + 1
         terms += [
             # c - (j t^eps) a - (1 + eps*i) b = 0
-            (r1, u_out, 1, 0, 0, 0),
-            (r1, u_in, 0, 0, -1, eps),
-            (r1, o_in, -1, -eps, 0, 0),
+            (r1, u_out, 1, 0, 0, 0, 0),
+            (r1, u_in, 0, 0, -1, 0, eps),
+            (r1, o_in, -1, -eps, 0, 0, 0),
             # d - (1 + eps*i) a + (j t^-eps) b = 0
-            (r2, o_out, 1, 0, 0, 0),
-            (r2, u_in, -1, -eps, 0, 0),
-            (r2, o_in, 0, 0, 1, -eps),
+            (r2, o_out, 1, 0, 0, 0, 0),
+            (r2, u_in, -1, -eps, 0, 0, 0),
+            (r2, o_in, 0, 0, 1, 0, -eps),
         ]
     return terms
 
@@ -298,73 +300,64 @@ def quaternionic_matrix(code):
     ncols = len(es.edges) + es.free_circles
     zero = _q()
     rows = [[zero] * ncols for _ in range(2 * code.n_crossings)]
-    for r, c, w, x, y, tpow in _quaternionic_terms(code, es, label_signs(code)):
-        rows[r][c] = rows[r][c] + _q(w, x, y, 0, tpow)
+    for r, c, w, x, y, z, tpow in _quaternionic_terms(code, es, label_signs(code)):
+        rows[r][c] = rows[r][c] + _q(w, x, y, z, tpow)
     return rows
 
 
 def doubled_setup(code):
-    """The determinant engine's GaussianSetup of the complex doubling of
-    the quaternionic relation matrix without its free-circle columns,
-    built from the relation terms without quaternion objects.
-
-    Equal to _gaussian_setup(double_matrix(...)) of that matrix: the term
-    (w + x i + y j) t^e adds the doubling block [[w + x i, y], [-y,
-    w - x i]] t^e, and terms landing on one entry (a kink) accumulate.
-    """
+    """The determinant engine's QuaternionSetup of the quaternionic
+    relation matrix without its free-circle columns, built from the
+    relation terms without quaternion objects (terms landing on one
+    entry, at a kink, add up)."""
     es = edge_structure(code)
+    terms = _quaternionic_terms(code, es, label_signs(code))
+    return quaternion_setup(len(es.edges), terms)
+
+
+def _qmat_setup(qmat):
+    """The QuaternionSetup of a square quaternionic matrix."""
+    m = len(qmat)
+    if any(len(row) != m for row in qmat):
+        raise ValueError(f"quaternionic matrix is not square: {m} rows")
     terms = []
-    for r, c, w, x, y, e in _quaternionic_terms(code, es, label_signs(code)):
-        r, c = 2 * r, 2 * c
-        terms += [
-            (0, r, c, e, w), (1, r, c, e, x), (0, r, c + 1, e, y),
-            (0, r + 1, c, e, -y), (0, r + 1, c + 1, e, w), (1, r + 1, c + 1, e, -x),
-        ]
-    return gaussian_setup_from_terms(2 * len(es.edges), terms)
+    for r, row in enumerate(qmat):
+        for c, q in enumerate(row):
+            parts = (q.w.terms, q.x.terms, q.y.terms, q.z.terms)
+            for e in set().union(*parts):
+                terms.append((r, c, *(t.get(e, 0) for t in parts), e))
+    return quaternion_setup(m, terms)
 
 
 def study_determinant(qmat):
-    """Determinant of the complex doubling; must come out real.
+    """Determinant of the complex doubling of a square quaternionic
+    matrix, which is real: a LaurentPoly.
 
-    qmat is a quaternionic matrix, or the doubling's determinant as a
-    GaussianLaurent when the engine has computed it already.
+    qmat is the quaternionic matrix, or the determinant itself when the
+    engine has computed it already.
     """
-    if isinstance(qmat, GaussianLaurent):
-        d = qmat
-    elif not qmat:
+    if isinstance(qmat, LaurentPoly):
+        return qmat
+    if not qmat:
         return LaurentPoly.const(1)
-    else:
-        d = det_gaussian_many([double_matrix(qmat)])[0]
-    if not d.im.is_zero():
-        raise ArithmeticError("non-real Study determinant")
-    return d.re
+    return det_gaussian_many([_qmat_setup(qmat)])[0]
 
 
 def _fold_study_gcd(g, dets):
     for d in dets:
-        if not d.im.is_zero():
-            raise ArithmeticError("non-real Study determinant")
         # g is normalized, so this means d = +-t^k g and gcd(g, d) = g
-        if not g.is_zero() and normalize_leadpos(d.re) == g:
+        if not g.is_zero() and normalize_leadpos(d) == g:
             continue
-        g = poly_gcd(g, d.re)
+        g = poly_gcd(g, d)
         if g == LaurentPoly.const(1):
             break
     return g
 
 
-def _codim1_selections(m):
-    """The m^2 block deletions of a 2m x 2m doubling, diagonal ones first:
-    the gcd fold stops at 1, and the diagonal minors often reach it."""
-    keep = [tuple(i for i in range(2 * m) if i // 2 != r) for r in range(m)]
-    pairs = [(r, r) for r in range(m)]
-    pairs += [(r, c) for r in range(m) for c in range(m) if r != c]
-    return [(keep[r], keep[c]) for r, c in pairs]
-
-
 def codim1_gcd(qmat):
-    """gcd in Z[t] of the Study determinants of all first minors,
-    normalized to t-valuation 0 and positive leading coefficient.
+    """gcd in Z[t] of the Study determinants of all first minors of a
+    square quaternionic matrix, normalized to t-valuation 0 and positive
+    leading coefficient.
 
     All m^2 minors come from one determinant-engine call, which eliminates
     each evaluated matrix once for all of them.  The gcd folds the
@@ -373,7 +366,7 @@ def codim1_gcd(qmat):
     m = len(qmat)
     if m == 0:
         return LaurentPoly.const(1)
-    dets = det_gaussian_submatrices(double_matrix(qmat), _codim1_selections(m))
+    dets = det_gaussian_submatrices(_qmat_setup(qmat), block_selections(m)[1:])
     return _fold_study_gcd(LaurentPoly({}), dets)
 
 
@@ -396,14 +389,13 @@ def quaternionic_invariant(code):
         # no relations: a free module of rank free <= 1
         return (LaurentPoly({}), LaurentPoly.const(1))
     setup = doubled_setup(code)
-    n = len(setup.shifts)
-    everything = (tuple(range(n)), tuple(range(n)))
+    selections = block_selections(len(setup.shifts))
     if free:
         # one free circle next to crossings: E_0 = 0; E_1 = the square
         # determinant left after deleting the zero column.
-        (det,) = det_gaussian_submatrices(setup, [everything])
+        (det,) = det_gaussian_submatrices(setup, selections[:1])
         return (LaurentPoly({}), normalize_leadpos(study_determinant(det)))
-    dets = det_gaussian_submatrices(setup, [everything, *_codim1_selections(n // 2)])
+    dets = det_gaussian_submatrices(setup, selections)
     sd = normalize_leadpos(study_determinant(dets[0]))
     return (sd, _fold_study_gcd(LaurentPoly({}), dets[1:]))
 

@@ -4,6 +4,9 @@ Entries may be LaurentPoly, LaurentPoly2, GaussianLaurent, or plain int:
 anything supporting +, -, *, is_zero/bool and exact_div.  The Bareiss
 routine is fraction-free (every intermediate value stays in the ring); a
 straightforward cofactor expansion is kept as an independent cross-check.
+Both are reference code: the invariants take their determinants from
+:mod:`vknots.fastdet`, which the tests and the benchmark check against
+these.
 """
 
 from __future__ import annotations

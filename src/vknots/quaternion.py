@@ -4,7 +4,9 @@ Laurent polynomials (Z[i][t, t^-1]).
 A quaternion q = w + x i + y j + z k is stored as four LaurentPoly
 components.  The complex doubling used for Study determinants identifies
 q = z1 + z2 j with the 2x2 complex matrix [[z1, z2], [-conj(z2), conj(z1)]],
-where z1 = w + x i and z2 = y + z i live in Z[i][t, t^-1].
+where z1 = w + x i and z2 = y + z i live in Z[i][t, t^-1].  The
+determinant engine assembles that doubling itself from the four
+components; ``double_matrix`` is the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -188,6 +190,8 @@ def doubling_block(q):
 def double_matrix(qmat):
     """Complex 2m x 2m doubling of an m x m quaternionic matrix."""
     m = len(qmat)
+    if any(len(row) != m for row in qmat):
+        raise ValueError(f"quaternionic matrix is not square: {m} rows")
     out = [[None] * (2 * m) for _ in range(2 * m)]
     for r in range(m):
         for c in range(m):

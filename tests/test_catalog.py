@@ -1,7 +1,19 @@
+import random
+
 import pytest
 
-from vknots.catalog import builtin_entries, catalog_by_name, load_catalog
-from vknots.gausscode import GaussCodeError, canonical_key, validate_code
+from vknots.catalog import _first_minors, builtin_entries, catalog_by_name, load_catalog
+from vknots.gausscode import (
+    GaussCodeError,
+    canonical_key,
+    edge_structure,
+    validate_code,
+)
+from vknots.invariants import alexander_matrix
+from vknots.matrix import det_cofactor, minor_matrix
+
+from conftest import random_code
+from test_algebra import rand_lpoly2
 
 EXPECTED_NAMES = {
     "unknot",
@@ -77,3 +89,31 @@ def test_load_catalog_invalid_code_names_its_location(tmp_path):
     assert str(exc.value) == (
         f"{path}:2: invalid code for 'bad': MissingPartner(1); MissingPartner(2)"
     )
+
+
+def _cofactor_first_minors(mat):
+    """Every first minor by cofactor expansion, the rule _first_minors
+    replaced."""
+    n = len(mat)
+    return [(i, j, det_cofactor(minor_matrix(mat, [i], [j])))
+            for i in range(n) for j in range(n)]
+
+
+def test_first_minors_match_cofactor():
+    """The catalog's first minors (det_laurent2) against cofactor
+    expansion, on knot K's Alexander matrix, Alexander matrices of random
+    small knots and random 2-4 square matrices over Z[s^+-1, t^+-1]."""
+    rng = random.Random(4400)
+    mats = [alexander_matrix(catalog_by_name()["knot-k"].code)]
+    for n in (1, 2, 2, 3):
+        code = random_code(rng, n)
+        assert not edge_structure(code).free_circles
+        mats.append(alexander_matrix(code))
+    for n in (2, 2, 3, 3, 4):
+        mats.append([[rand_lpoly2(rng) for _ in range(n)] for _ in range(n)])
+    nonzero = 0
+    for mat in mats:
+        got = list(_first_minors(mat))
+        assert got == _cofactor_first_minors(mat), mat
+        nonzero += sum(not d.is_zero() for _i, _j, d in got)
+    assert nonzero

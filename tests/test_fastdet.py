@@ -1,13 +1,17 @@
-"""The modular/interpolation determinant engine against slow exact oracles."""
+"""The modular/interpolation determinant engine against slow exact oracles:
+Bareiss and cofactor determinants, and the general Z[i][t, t^-1] engine
+kept in gaussian_engine."""
 
 import random
 from collections import Counter
 from itertools import product
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import gaussian_engine as oracle
 from vknots import fastdet
 from vknots.fastdet import (
     _batch_det_mod,
@@ -15,21 +19,33 @@ from vknots.fastdet import (
     _coefficient_bound,
     _corank2_factors,
     _evaluate,
+    _evaluate_doubling,
     _gauss_jordan_mod,
-    _gaussian_setup,
     _interpolate,
-    _is_doubling,
     _is_prime,
     _num_primes_for,
     _primes,
     _vand_inv,
+    block_selections,
     det_gaussian_many,
     det_gaussian_submatrices,
     det_laurent2,
+    quaternion_setup,
 )
-from vknots.gausscode import edge_structure
-from vknots.invariants import alexander_matrix, doubled_setup, quaternionic_matrix
-from vknots.laurent import LaurentPoly, LaurentPoly2, normalize_unit
+from vknots.gausscode import edge_structure, parse_gauss
+from vknots.invariants import (
+    _qmat_setup,
+    alexander_matrix,
+    doubled_setup,
+    quaternionic_matrix,
+)
+from vknots.laurent import (
+    LaurentPoly,
+    LaurentPoly2,
+    normalize_leadpos,
+    normalize_unit,
+    poly_gcd,
+)
 from vknots.matrix import det_bareiss, det_cofactor
 from vknots.quaternion import GaussianLaurent, Quaternion, double_matrix
 
@@ -52,7 +68,7 @@ def det_laurent_many(mats, var="t"):
         for mat in mats
     ]
     out = []
-    for g in det_gaussian_many(gmats, var=var):
+    for g in oracle.det_gaussian_many(gmats, var=var):
         if not g.im.is_zero():
             raise ArithmeticError("real determinant came out complex")
         out.append(g.re)
@@ -138,14 +154,14 @@ def test_det_gaussian_many_matches_bareiss(rng):
         [[rand_gaussian(rng) for _ in range(n)] for _ in range(n)]
         for n in (1, 2, 3, 4, 4, 5)
     ]
-    fast = det_gaussian_many(mats)
+    fast = oracle.det_gaussian_many(mats)
     for m, d in zip(mats, fast):
         assert d == det_bareiss(m, G_ONE)
 
 
 def test_det_gaussian_many_zero_and_empty(rng):
     zrow = [[GaussianLaurent(LaurentPoly({}, "t"), LaurentPoly({}, "t"))] * 3] * 3
-    fast = det_gaussian_many([zrow, []])
+    fast = oracle.det_gaussian_many([zrow, []])
     assert fast[0].re.is_zero() and fast[0].im.is_zero()
     assert fast[1] == G_ONE
 
@@ -180,7 +196,7 @@ def test_det_gaussian_submatrices_large_coefficients():
         return GaussianLaurent.const(a)
 
     m = [[g(10**20), g(1)], [g(2), g(3)]]
-    (d,) = det_gaussian_submatrices(m, [((0, 1), (0, 1))])
+    (d,) = oracle.det_gaussian_submatrices(m, [((0, 1), (0, 1))])
     assert d == g(3 * 10**20 - 2)
 
 
@@ -193,7 +209,7 @@ def test_det_gaussian_submatrices_matches_per_minor(rng):
                 rows = tuple(x for x in range(n) if x != i)
                 cols = tuple(y for y in range(n) if y != j)
                 selections.append((rows, cols))
-        fast = det_gaussian_submatrices(m, selections)
+        fast = oracle.det_gaussian_submatrices(m, selections)
         for (rows, cols), d in zip(selections, fast):
             sub = [[m[r][c] for c in cols] for r in rows]
             assert d == det_bareiss(sub, G_ONE)
@@ -235,8 +251,8 @@ def test_det_gaussian_submatrices_block_deletions(rng):
             for i in range(n // 2)
             for j in range(n // 2)
         ]
-        fast = det_gaussian_submatrices(m, selections)
-        assert fast[0] == det_gaussian_many([m])[0] == det_bareiss(m, G_ONE)
+        fast = oracle.det_gaussian_submatrices(m, selections)
+        assert fast[0] == oracle.det_gaussian_many([m])[0] == det_bareiss(m, G_ONE)
         assert fast[0].is_zero() == (rank < n)
         for (rows, cols), d in zip(selections, fast):
             sub = [[m[r][c] for c in cols] for r in rows]
@@ -251,7 +267,7 @@ def test_det_gaussian_submatrices_mixed_sizes(rng):
         ((0, 1), (1, 3)),
         ((0, 1, 2, 3), (0, 1, 2, 3)),
     ]
-    fast = det_gaussian_submatrices(m, selections)
+    fast = oracle.det_gaussian_submatrices(m, selections)
     for (rows, cols), d in zip(selections, fast):
         sub = [[m[r][c] for c in cols] for r in rows]
         assert d == det_bareiss(sub, G_ONE)
@@ -420,10 +436,10 @@ def _coefficients(d):
 def test_coefficient_bound_is_tight_on_sylvester_hadamard():
     for factor, weight, top in (((1, 0), 16, 2**32), ((1, 1), 32, 2**40)):
         mat = _hadamard_gaussian(factor)
-        weights = _gaussian_setup(mat)[3]
+        weights = oracle._gaussian_setup(mat)[3]
         assert weights == _weights(mat) == [weight] * 16
         assert _coefficient_bound(weights) == top + 1
-        (d,) = det_gaussian_many([mat])
+        (d,) = oracle.det_gaussian_many([mat])
         assert d == det_bareiss(mat, G_ONE)
         assert max(abs(c) for c in _coefficients(d)) == top
 
@@ -436,7 +452,7 @@ def test_block_minors_of_sylvester_hadamard():
         for r in range(8)
         for c in range(8)
     ]
-    fast = det_gaussian_submatrices(mat, selections)
+    fast = oracle.det_gaussian_submatrices(mat, selections)
     for (rows, cols), d in zip(selections, fast):
         sub = [[mat[r][c] for c in cols] for r in rows]
         assert d == det_bareiss(sub, G_ONE)
@@ -488,11 +504,11 @@ def test_coefficient_bound_covers_bareiss_coefficients(rng):
                 [[_scaled(rng, _rand_gaussian_term(rng)) for _ in range(n)]
                  for _ in range(n)],
             ):
-                assert _gaussian_setup(g)[3] == _weights(g)
+                assert oracle._gaussian_setup(g)[3] == _weights(g)
                 dg = det_bareiss(g, G_ONE)
                 bound = _coefficient_bound(_weights(g))
                 assert all(abs(c) <= bound for c in _coefficients(dg))
-                assert det_gaussian_many([g])[0] == dg
+                assert oracle.det_gaussian_many([g])[0] == dg
 
             s = [[_scaled(rng, rand_lpoly2(rng)) for _ in range(n)] for _ in range(n)]
             ds = det_bareiss(s, L2_ONE)
@@ -501,7 +517,7 @@ def test_coefficient_bound_covers_bareiss_coefficients(rng):
             assert det_laurent2(s) == ds
 
 
-# --- doublings: the one-point i axis ----------------------------------------
+# --- doublings: the quaternion engine ---------------------------------------
 
 
 def _block_selections(m):
@@ -512,25 +528,32 @@ def _block_selections(m):
 
 
 def _two_point(monkeypatch, fn, *args):
-    """fn(*args) with doublings unrecognised, so on the two-point i axis."""
+    """fn(*args) with doublings unrecognised by the general engine, so on
+    its two-point i axis."""
     with monkeypatch.context() as mp:
-        mp.setattr(fastdet, "_is_doubling", lambda coeffs: False)
+        mp.setattr(oracle, "_is_doubling", lambda coeffs: False)
         return fn(*args)
 
 
-def _stack_sizes(monkeypatch, fn, *args, name="_block_minors_mod"):
+def _stack_sizes(monkeypatch, fn, *args, name="_block_minors_mod", module=fastdet):
     """fn(*args), and the number of matrices in every stack that the
-    engine's elimination `name` got (one call per CRT prime)."""
+    elimination `name` bound in `module` got (one call per CRT prime)."""
     sizes = []
-    real = getattr(fastdet, name)
+    real = getattr(module, name)
 
     def recording(a, p):
         sizes.append(len(a))
         return real(a, p)
 
     with monkeypatch.context() as mp:
-        mp.setattr(fastdet, name, recording)
+        mp.setattr(module, name, recording)
         return fn(*args), sizes
+
+
+def _real(dets):
+    """The real parts of GaussianLaurent results, each checked real."""
+    assert all(d.im.is_zero() for d in dets)
+    return [d.re for d in dets]
 
 
 def _square_doubling(code):
@@ -549,43 +572,89 @@ def _doubling_codes():
     return [c for c in codes if c.n_crossings and not (c in seen or seen.add(c))]
 
 
-def test_doubled_setups_take_the_one_point_axis(monkeypatch):
-    codes = _doubling_codes()
-    assert len(codes) > 100 and max(c.n_crossings for c in codes) == 10
-    for k, code in enumerate(codes):
-        setup = doubled_setup(code)
-        assert _is_doubling(setup.coeffs), code
-        sels = _block_selections(len(setup.shifts) // 2)
+class Doubling(NamedTuple):
+    """A code's doubling as the engine reads it and as the oracles do."""
+
+    code: object
+    qsetup: object  # doubled_setup(code), the engine's QuaternionSetup
+    matrix: list  # _square_doubling(code), GaussianLaurent entries
+    gsetup: object  # the general engine's GaussianSetup of matrix
+    one_point: list  # the general engine's block minors, on +sqrt(-1) only
+    two_point: list  # and on the two-point i axis
+    det: object  # det_bareiss of matrix
+
+
+@pytest.fixture(scope="module")
+def doublings():
+    """Every code of _doubling_codes() with its oracle values, computed
+    once for the tests of this module that read them."""
+    out = []
+    for code in _doubling_codes():
+        matrix = _square_doubling(code)
+        gsetup = oracle._gaussian_setup(matrix)
+        sels = _block_selections(len(matrix) // 2)
+        one_point = oracle.det_gaussian_submatrices(gsetup, sels)
+        with pytest.MonkeyPatch.context() as mp:
+            two_point = _two_point(mp, oracle.det_gaussian_submatrices, gsetup, sels)
+        det = det_bareiss(matrix, G_ONE)
+        out.append(Doubling(code, doubled_setup(code), matrix, gsetup, one_point,
+                            two_point, det))
+    return out
+
+
+def test_doubled_setups_take_the_one_point_axis(monkeypatch, doublings):
+    assert len(doublings) > 100 and max(d.code.n_crossings for d in doublings) == 10
+    for k, dbl in enumerate(doublings):
+        code, setup = dbl.code, dbl.qsetup
+        assert oracle._is_doubling(dbl.gsetup.coeffs), code
+        sels = _block_selections(len(setup.shifts))
+        assert block_selections(len(setup.shifts))[0] == sels[0]
         fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, setup, sels)
-        D = sum(setup.degs)
-        assert len(sizes) == _num_primes_for(_coefficient_bound(setup.weights))
+        D = 2 * sum(setup.degs)
+        assert D == sum(dbl.gsetup.degs)
+        assert len(sizes) == _num_primes_for(_coefficient_bound(dbl.gsetup.weights))
         assert sizes == [D + 1] * len(sizes), code
-        assert all(d.im.is_zero() for d in fast)
-        assert fast == _two_point(monkeypatch, det_gaussian_submatrices, setup, sels)
-        dbl = _square_doubling(code)
-        assert fast[0] == det_bareiss(dbl, G_ONE), code
+        assert all(isinstance(d, LaurentPoly) for d in fast)
+        assert dbl.one_point == dbl.two_point, code
+        assert fast == _real(dbl.one_point), code
+        assert fast[0] == dbl.det.re and dbl.det.im.is_zero(), code
         if code.n_crossings <= 3:
             # one block minor per code, in turn, against Bareiss too
             rows, cols = sels[1 + k % (len(sels) - 1)]
-            sub = [[dbl[r][c] for c in cols] for r in rows]
-            assert fast[1 + k % (len(sels) - 1)] == det_bareiss(sub, G_ONE), code
+            sub = [[dbl.matrix[r][c] for c in cols] for r in rows]
+            assert fast[1 + k % (len(sels) - 1)] == det_bareiss(sub, G_ONE).re, code
 
 
-def test_doubling_halves_agree_at_conjugate_points():
+def test_doubling_halves_agree_at_conjugate_points(doublings):
     """conj A = S A S^-1 for a doubling: at i -> -sqrt(-1) the evaluated
     matrices differ from those at +sqrt(-1), but det A and every block
     minor agree, so the second half of the two-point axis is redundant."""
     differ = 0
-    for code in _doubling_codes():
-        setup = doubled_setup(code)
+    for dbl in doublings:
+        setup = dbl.gsetup
         ts = range(1, sum(setup.degs) + 2)
         for p, root in _primes(2):
             plus = _evaluate(setup.coeffs, ((root,), ts), p)
             minus = _evaluate(setup.coeffs, ((p - root,), ts), p)
             differ += not np.array_equal(plus, minus)
             for a, b in zip(_block_minors_mod(plus, p), _block_minors_mod(minus, p)):
-                assert np.array_equal(a, b), code
+                assert np.array_equal(a, b), dbl.code
     assert differ
+
+
+def test_doublings_evaluate_as_the_oracle_lays_them_out(doublings):
+    """The engine assembles the doubling at evaluation time from the m x m
+    quaternion array; at the first two primes its stacks are those of the
+    general engine's 2m x 2m setup at +sqrt(-1), to the byte."""
+    for dbl in doublings:
+        want = oracle.doubled_setup_of(dbl.qsetup)
+        assert np.array_equal(want.coeffs, dbl.gsetup.coeffs), dbl.code
+        assert want[1:] == dbl.gsetup[1:], dbl.code
+        ts = range(1, 2 * sum(dbl.qsetup.degs) + 2)
+        for p, root in _primes(2):
+            got = _evaluate_doubling(dbl.qsetup.coeffs, root, ts, p)
+            ref = _evaluate(dbl.gsetup.coeffs, ((root,), ts), p)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), dbl.code
 
 
 def _big_quaternion(rng):
@@ -602,43 +671,57 @@ def test_big_doublings_take_the_one_point_axis(monkeypatch):
     for m in (1, 2, 3):
         qmat = [[_big_quaternion(rng) for _ in range(m)] for _ in range(m)]
         dbl = double_matrix(qmat)
-        setup = _gaussian_setup(dbl)
-        assert setup.coeffs.dtype == object and _is_doubling(setup.coeffs)
+        gsetup = oracle._gaussian_setup(dbl)
+        assert gsetup.coeffs.dtype == object and oracle._is_doubling(gsetup.coeffs)
+        setup = _qmat_setup(qmat)
+        assert setup.coeffs.dtype == object
         sels = _block_selections(m)
         fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, setup, sels)
-        assert len(sizes) >= 3 and sizes == [sum(setup.degs) + 1] * len(sizes)
-        assert fast == _two_point(monkeypatch, det_gaussian_submatrices, setup, sels)
+        assert len(sizes) >= 3 and sizes == [2 * sum(setup.degs) + 1] * len(sizes)
+        assert fast == _real(
+            _two_point(monkeypatch, oracle.det_gaussian_submatrices, gsetup, sels)
+        )
         for (rows, cols), d in zip(sels, fast):
             sub = [[dbl[r][c] for c in cols] for r in rows]
-            assert d == det_bareiss(sub, G_ONE)
+            assert d == det_bareiss(sub, G_ONE).re
         assert not fast[0].is_zero()
+
+
+def _other_selections(n):
+    """The selections of an n x n matrix that delete one row and one column."""
+    return [
+        (tuple(x for x in range(n) if x != i), tuple(y for y in range(n) if y != j))
+        for i in range(n)
+        for j in range(n)
+    ]
 
 
 def test_doubling_with_other_selections_keeps_two_points(monkeypatch):
     """A minor that deletes one row and one column of a doubling need not
-    be real: with such a selection in the list, every selection is
-    interpolated on the two-point axis."""
+    be real: with such a selection in the list, the general engine
+    interpolates every selection on the two-point axis, and the quaternion
+    engine, whose results are real, refuses the list."""
     rng = random.Random(7304)
-    dbl = double_matrix([[rand_quaternion(rng) for _ in range(2)] for _ in range(2)])
-    setup = _gaussian_setup(dbl)
-    assert _is_doubling(setup.coeffs)
-    sels = _block_selections(2) + [
-        (tuple(x for x in range(4) if x != i), tuple(y for y in range(4) if y != j))
-        for i in range(4)
-        for j in range(4)
-    ]
-    fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, setup, sels)
+    qmat = [[rand_quaternion(rng) for _ in range(2)] for _ in range(2)]
+    dbl = double_matrix(qmat)
+    setup = oracle._gaussian_setup(dbl)
+    assert oracle._is_doubling(setup.coeffs)
+    sels = _block_selections(2) + _other_selections(4)
+    fast, sizes = _stack_sizes(monkeypatch, oracle.det_gaussian_submatrices, setup,
+                               sels, module=oracle)
     assert sizes == [2 * (sum(setup.degs) + 1)] * len(sizes)
     for (rows, cols), d in zip(sels, fast):
         assert d == det_bareiss([[dbl[r][c] for c in cols] for r in rows], G_ONE)
     assert any(not d.im.is_zero() for d in fast[len(_block_selections(2)):])
+    with pytest.raises(ValueError):
+        det_gaussian_submatrices(_qmat_setup(qmat), sels)
 
 
 def _many_stack_sizes(mats, i_points):
     """The sorted stack sizes det_gaussian_many hands _chunked_det: one
     stack per matrix size and CRT prime, i_points * (D + 1) evaluation
     points per nonzero matrix."""
-    live = [s for s in map(_gaussian_setup, mats) if all(s.weights)]
+    live = [s for s in map(oracle._gaussian_setup, mats) if all(s.weights)]
     D = max(sum(s.degs) for s in live)
     primes = _num_primes_for(max(_coefficient_bound(s.weights) for s in live))
     per_size = Counter(len(s.shifts) for s in live).values()
@@ -647,19 +730,21 @@ def _many_stack_sizes(mats, i_points):
 
 def test_det_gaussian_many_takes_the_one_point_axis_on_doublings(monkeypatch):
     rng = random.Random(7301)
-    dbls = [double_matrix([[rand_quaternion(rng) for _ in range(m)] for _ in range(m)])
-            for m in (1, 2, 2, 3)]
+    qmats = [[[rand_quaternion(rng) for _ in range(m)] for _ in range(m)]
+             for m in (1, 2, 2, 3)]
+    dbls = [double_matrix(q) for q in qmats]
     fast, sizes = _stack_sizes(
-        monkeypatch, det_gaussian_many, dbls, name="_chunked_det"
+        monkeypatch, oracle.det_gaussian_many, dbls, name="_chunked_det", module=oracle
     )
     assert sorted(sizes) == _many_stack_sizes(dbls, 1)
     assert all(d.im.is_zero() for d in fast)
-    assert fast == _two_point(monkeypatch, det_gaussian_many, dbls)
+    assert fast == _two_point(monkeypatch, oracle.det_gaussian_many, dbls)
     assert fast == [det_bareiss(d, G_ONE) for d in dbls]
+    assert det_gaussian_many([_qmat_setup(q) for q in qmats]) == _real(fast)
     # one matrix that is no doubling puts the whole batch on two points
     mats = [*dbls, [[rand_gaussian(rng) for _ in range(4)] for _ in range(4)]]
     fast, sizes = _stack_sizes(
-        monkeypatch, det_gaussian_many, mats, name="_chunked_det"
+        monkeypatch, oracle.det_gaussian_many, mats, name="_chunked_det", module=oracle
     )
     assert sorted(sizes) == _many_stack_sizes(mats, 2)
     assert fast == [det_bareiss(d, G_ONE) for d in mats]
@@ -669,15 +754,16 @@ def test_det_gaussian_many_takes_the_one_point_axis_on_doublings(monkeypatch):
 @pytest.mark.parametrize("big", [False, True])
 def test_is_doubling_rejects_every_single_coefficient_perturbation(monkeypatch, big):
     """A change to one real or imaginary coefficient of any cell of a block
-    breaks the structure: the matrix goes to the two-point axis, and its
-    determinant and block minors still match Bareiss."""
+    breaks the structure: the general engine takes the matrix to the
+    two-point axis, and its determinant and block minors still match
+    Bareiss."""
     rng = random.Random(7302 + big)
     m = 3
     qmat = [[_big_quaternion(rng) if big else rand_quaternion(rng) for _ in range(m)]
             for _ in range(m)]
     dbl = double_matrix(qmat)
-    assert _is_doubling(_gaussian_setup(dbl).coeffs)
-    assert (_gaussian_setup(dbl).coeffs.dtype == object) == big
+    assert oracle._is_doubling(oracle._gaussian_setup(dbl).coeffs)
+    assert (oracle._gaussian_setup(dbl).coeffs.dtype == object) == big
     sels = _block_selections(m)
     complex_dets = 0
     for dr, dc, part in product(range(2), range(2), range(2)):
@@ -690,12 +776,159 @@ def test_is_doubling_rejects_every_single_coefficient_perturbation(monkeypatch, 
         pert = [row[:] for row in dbl]
         pert[r][c] = e + (GaussianLaurent(LaurentPoly({}), bump) if part
                           else GaussianLaurent(bump, LaurentPoly({})))
-        setup = _gaussian_setup(pert)
-        assert not _is_doubling(setup.coeffs), (dr, dc, part)
-        fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, pert, sels)
+        setup = oracle._gaussian_setup(pert)
+        assert not oracle._is_doubling(setup.coeffs), (dr, dc, part)
+        fast, sizes = _stack_sizes(monkeypatch, oracle.det_gaussian_submatrices, pert,
+                                   sels, module=oracle)
         assert sizes == [2 * (sum(setup.degs) + 1)] * len(sizes)
         for (rows, cols), d in zip(sels, fast):
             sub = [[pert[i][j] for j in cols] for i in rows]
             assert d == det_bareiss(sub, G_ONE), (dr, dc, part)
         complex_dets += not fast[0].im.is_zero()
     assert complex_dets
+
+
+# --- the quaternion engine against the general engine -----------------------
+
+
+def _doubled_terms(terms):
+    """The general engine's terms (part, row, col, exponent, value) of the
+    doubling of quaternion terms (row, col, w, x, y, z, exponent)."""
+    out = []
+    for r, c, w, x, y, z, e in terms:
+        r, c = 2 * r, 2 * c
+        out += [
+            (0, r, c, e, w), (1, r, c, e, x), (0, r, c + 1, e, y), (1, r, c + 1, e, z),
+            (0, r + 1, c, e, -y), (1, r + 1, c, e, z),
+            (0, r + 1, c + 1, e, w), (1, r + 1, c + 1, e, -x),
+        ]
+    return out
+
+
+def _random_terms(rng, m, top):
+    """Quaternion terms on an m x m matrix with repeated places, terms that
+    cancel, one zero row and coefficients up to top."""
+    terms = []
+    for _ in range(rng.randint(0, 4 * m)):
+        r, c = rng.randrange(m), rng.randrange(m)
+        if m > 1 and r == m - 1:
+            continue  # the last row stays zero
+        vals = [rng.choice((0, rng.randint(-top, top))) for _ in range(4)]
+        e = rng.randint(-3, 3)
+        terms.append((r, c, *vals, e))
+        if rng.random() < 0.3:  # the same place again, or its negative
+            sign = rng.choice((1, -1))
+            terms.append((r, c, *(sign * v for v in vals), e))
+    return terms
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_quaternion_setup_matches_the_general_setup(big):
+    """The m x m quaternion array, doubled as the engine assembles it,
+    is the general engine's setup of the doubling built from the same
+    terms: coefficients, dtype, and each row's shift, degree and weight
+    twice.  Coefficients above 2^63 take Python ints; when big terms
+    cancel to small sums the array is int64 again."""
+    rng = random.Random(7400 + big)
+    top = 2**66 if big else 6
+    dtypes = Counter()
+    for m in (1, 1, 2, 2, 3, 3, 4, 5):
+        terms = _random_terms(rng, m, top)
+        got = quaternion_setup(m, terms)
+        want = oracle.gaussian_setup_from_terms(2 * m, _doubled_terms(terms))
+        doubled = oracle.doubled_setup_of(got)
+        assert got.coeffs.shape[:3] == (m, m, 4)
+        assert doubled.coeffs.dtype == want.coeffs.dtype, terms
+        assert np.array_equal(doubled.coeffs, want.coeffs), terms
+        assert doubled[1:] == want[1:], terms
+        assert all(type(v) is int for lst in got[1:] for v in lst)
+        dtypes[got.coeffs.dtype] += 1
+    if big:
+        n = 2**64
+        cancel = quaternion_setup(1, [(0, 0, n, 0, 0, 0, 0), (0, 0, 1 - n, 2, 0, 0, 0)])
+        assert cancel.coeffs.dtype == np.int64
+        assert cancel.coeffs[0, 0, :, 0].tolist() == [1, 2, 0, 0]
+    assert dtypes[np.dtype(object) if big else np.dtype(np.int64)] > 0
+
+
+def _quaternion_matrix_of_rank(rng, m, rank):
+    """A random m x m quaternionic matrix that is a product of m x rank
+    and rank x m factors."""
+    x = [[rand_quaternion(rng) for _ in range(rank)] for _ in range(m)]
+    y = [[rand_quaternion(rng) for _ in range(m)] for _ in range(rank)]
+    zero = Quaternion()
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            e = zero
+            for k in range(rank):
+                e = e + x[i][k] * y[k][j]
+            row.append(e)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_engine_matches_general_engine_and_bareiss(big):
+    """Random quaternionic matrices of every rank, a zero row and the zero
+    matrix: the engine's determinant and block minors are the general
+    engine's, all real, and Bareiss's on the doubling."""
+    rng = random.Random(7500 + big)
+    entry = _big_quaternion if big else rand_quaternion
+    cases = []  # (matrix, whether its coefficients pass 2^63)
+    for m in (1, 2, 3, 4):
+        cases.append(([[entry(rng) for _ in range(m)] for _ in range(m)], big))
+        for rank in range(m) if not big else ():
+            cases.append((_quaternion_matrix_of_rank(rng, m, rank), False))
+    zero_row = [[entry(rng) for _ in range(3)] for _ in range(3)]
+    zero_row[1] = [Quaternion()] * 3
+    cases += [(zero_row, big), ([[Quaternion()] * 2] * 2, False)]
+    nonzero = 0
+    for qmat, over in cases:
+        m = len(qmat)
+        setup = _qmat_setup(qmat)
+        assert (setup.coeffs.dtype == object) == over
+        sels = block_selections(m)
+        fast = det_gaussian_submatrices(setup, sels)
+        dbl = double_matrix(qmat)
+        assert fast == _real(oracle.det_gaussian_submatrices(dbl, sels))
+        assert det_gaussian_many([setup]) == fast[:1]
+        if m <= 3:
+            for (rows, cols), d in zip(sels, fast):
+                sub = [[dbl[r][c] for c in cols] for r in rows]
+                assert d == det_bareiss(sub, G_ONE).re
+        nonzero += not fast[0].is_zero()
+    assert 0 < nonzero < len(cases)
+
+
+def test_engine_on_kishino():
+    """Kishino's knot: Study determinant 0, codim-1 gcd 2 + 5t^2 + 2t^4,
+    from one engine call on doubled_setup, as from the general engine."""
+    code = parse_gauss("O1+U2-U1+O2-U3-O4+O3-U4+")
+    setup = doubled_setup(code)
+    sels = block_selections(len(setup.shifts))
+    dets = det_gaussian_submatrices(setup, sels)
+    assert dets == _real(oracle.det_gaussian_submatrices(_square_doubling(code), sels))
+    gcd = LaurentPoly({})
+    for d in dets[1:]:
+        gcd = poly_gcd(gcd, d)
+    assert dets[0].is_zero() and det_gaussian_many([setup]) == [LaurentPoly({})]
+    assert normalize_leadpos(gcd).render() == "2 + 5*t^2 + 2*t^4"
+
+
+def test_engine_refuses_non_block_selections():
+    rng = random.Random(7600)
+    setup = _qmat_setup([[rand_quaternion(rng) for _ in range(3)] for _ in range(3)])
+    full = tuple(range(6))
+    keep0 = tuple(range(2, 6))
+    for sel in [((0,), (2,)), (full, keep0), (keep0, full), (full[:5], full[:5]),
+                ((0, 1, 2, 3), (0, 1, 4, 5)[::-1]), *_other_selections(6)[:3]]:
+        with pytest.raises(ValueError):
+            det_gaussian_submatrices(setup, [block_selections(3)[0], sel])
+
+
+def test_engine_zero_and_empty_setups():
+    assert det_gaussian_many([_qmat_setup([]), _qmat_setup([[Quaternion()] * 3] * 3)]) \
+        == [LaurentPoly.const(1), LaurentPoly({})]
+    assert det_gaussian_submatrices(_qmat_setup([]), [((), ())]) == [LaurentPoly.const(1)]

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from vknots import invariants
 from vknots.budget import BudgetError
 from vknots.catalog import builtin_entries
-from vknots.fastdet import _gaussian_setup, det_gaussian_many
+import gaussian_engine as oracle
+from vknots.fastdet import block_selections
 from vknots.gausscode import (
     canonicalize,
     edge_structure,
@@ -377,19 +378,24 @@ def _block_minors(qmat):
 def _fold_gcd(dets):
     g = LaurentPoly({})
     for d in dets:
-        assert d.im.is_zero()
-        g = poly_gcd(g, d.re)
+        g = poly_gcd(g, d)
     return g
 
 
+def _real(d):
+    assert d.im.is_zero()
+    return d.re
+
+
 def _sweep_codim1_gcd(qmat):
-    """The minor sweep codim1_gcd replaced: one elimination per minor."""
-    return _fold_gcd(det_gaussian_many(_block_minors(qmat)))
+    """The minor sweep codim1_gcd replaced: one elimination per minor, by
+    the general engine."""
+    return _fold_gcd(map(_real, oracle.det_gaussian_many(_block_minors(qmat))))
 
 
 def _bareiss_codim1_gcd(qmat):
     one = GaussianLaurent(LaurentPoly({0: 1}), LaurentPoly({}))
-    return _fold_gcd(det_bareiss(sub, one) for sub in _block_minors(qmat))
+    return _fold_gcd(_real(det_bareiss(sub, one)) for sub in _block_minors(qmat))
 
 
 def _quaternionic_codes(max_crossings, walks, seed):
@@ -423,9 +429,9 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
     calls = []
     real = invariants.det_gaussian_submatrices
 
-    def counting(mat, selections, var="t"):
+    def counting(setup, selections):
         calls.append(selections)
-        return real(mat, selections, var)
+        return real(setup, selections)
 
     monkeypatch.setattr(invariants, "det_gaussian_submatrices", counting)
     for code in _quaternionic_codes(5, 4, seed=33):
@@ -434,9 +440,11 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
         assert codim1_gcd(qmat) == _sweep_codim1_gcd(qmat), code
         assert [len(sels) for sels in calls] == [len(qmat) ** 2], code
     # quaternionic_invariant: one call for the Study determinant and every
-    # minor, the full selection first, and no other engine or build work
+    # minor, the full selection first, one coefficient-array build from the
+    # relation terms, and no other engine or build work
     m = len(quaternionic_matrix(parse_gauss(KISHINO)))
-    others = {"det_gaussian_many": 0, "double_matrix": 0, "quaternionic_matrix": 0}
+    others = {"det_gaussian_many": 0, "_qmat_setup": 0, "quaternionic_matrix": 0,
+              "quaternion_setup": 0}
     for name in others:
         def other(*args, _name=name, _real=getattr(invariants, name)):
             others[_name] += 1
@@ -448,14 +456,14 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
     assert (study.render(), gcd.render()) == ("0", "2 + 5*t^2 + 2*t^4")
     assert [len(sels) for sels in calls] == [m**2 + 1]
     assert calls[0][0] == (tuple(range(2 * m)), tuple(range(2 * m)))
-    assert others == dict.fromkeys(others, 0)
+    assert others == dict(dict.fromkeys(others, 0), quaternion_setup=1)
 
 
 def _fold_calls_without_skip(dets):
     """poly_gcd calls of the fold that only stops at 1."""
     g, calls = LaurentPoly({}), 0
     for d in dets:
-        g, calls = poly_gcd(g, d.re), calls + 1
+        g, calls = poly_gcd(g, d), calls + 1
         if g == LaurentPoly.const(1):
             break
     return calls
@@ -469,7 +477,7 @@ def test_fold_study_gcd_skips_only_steps_that_cannot_change_it(monkeypatch):
     made = unskipped = 0
     for code in _quaternionic_codes(5, 40, seed=34):
         setup = doubled_setup(code)
-        sels = invariants._codim1_selections(len(setup.shifts) // 2)
+        sels = block_selections(len(setup.shifts))[1:]
         dets = invariants.det_gaussian_submatrices(setup, sels)
         calls.clear()
         fold = invariants._fold_study_gcd(LaurentPoly({}), dets)
@@ -514,8 +522,8 @@ def test_doubled_setup_matches_setup_of_doubling():
         qmat = quaternionic_matrix(code)
         # drop the zero column of a single free circle: the square case
         dbl = double_matrix([row[: len(es.edges)] for row in qmat])
-        want = _gaussian_setup(dbl)
-        got = doubled_setup(code)
+        want = oracle._gaussian_setup(dbl)
+        got = oracle.doubled_setup_of(doubled_setup(code))
         assert got.coeffs.dtype == want.coeffs.dtype == np.int64
         assert np.array_equal(got.coeffs, want.coeffs), code
         assert got[1:] == want[1:], code
@@ -534,6 +542,25 @@ def test_quaternionic_two_free_circles():
     study, gcd = quaternionic_invariant(parse_gauss("()/()"))
     assert study.is_zero()
     assert gcd.is_zero()
+
+
+def test_non_square_quaternionic_matrices_raise():
+    """Kishino's relation matrix with a free circle is 8 x 9: it has no
+    Study determinant and no codim-1 gcd of its own, so double_matrix,
+    study_determinant and codim1_gcd refuse it, as they refuse its 9 x 8
+    transpose shape and a ragged matrix, instead of dropping the extra
+    column or failing on an index."""
+    code = parse_gauss(KISHINO + "/()")
+    wide = quaternionic_matrix(code)
+    assert (len(wide), len(wide[0])) == (8, 9)
+    tall = [list(col) for col in zip(*wide)]
+    ragged = [row[:8] for row in wide]
+    ragged[3] = ragged[3][:7]
+    for qmat in (wide, tall, ragged):
+        for fn in (double_matrix, study_determinant, codim1_gcd):
+            with pytest.raises(ValueError, match="not square"):
+                fn(qmat)
+    assert quaternionic_invariant(code) == (LaurentPoly({}), LaurentPoly({}))
 
 
 # --- atom -------------------------------------------------------------------------
