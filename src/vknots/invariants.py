@@ -7,6 +7,7 @@ arrow-diagram expansion.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .budget import BudgetError, read_budget
@@ -79,7 +80,9 @@ def _sweep_order(es):
     that leaves the fewest edges with exactly one swept end: an edge-end
     whose partner end sits at a swept crossing scores 2 (the edge leaves
     the cut), one whose partner sits at the crossing itself (a kink)
-    scores 1, twice per kink edge (the edge never enters the cut).
+    scores 1, twice per kink edge (the edge never enters the cut).  The
+    scores are kept up to date as crossings are swept: sweeping one adds
+    2 to a partner's score once per edge they share.
     """
     ends = {
         label: (2 * o_in + 1, 2 * o_out, 2 * u_in + 1, 2 * u_out)
@@ -87,17 +90,15 @@ def _sweep_order(es):
     }
     at = {x: label for label, xs in ends.items() for x in xs}
     partners = {label: [at[x ^ 1] for x in xs] for label, xs in ends.items()}
-    swept = set()
+    score = {label: ys.count(label) for label, ys in partners.items()}
     order = []
     rest = sorted(ends)
     while rest:
-        label = max(
-            rest,
-            key=lambda l: sum(2 if y in swept else y == l for y in partners[l]),
-        )
+        label = max(rest, key=score.__getitem__)
         rest.remove(label)
-        swept.add(label)
         order.append(label)
+        for y in partners[label]:
+            score[y] += 2
     return order
 
 
@@ -105,15 +106,20 @@ def _state_counts(code):
     """Histogram {(a_choices, loops): multiplicity} over all 2^n states.
 
     Frontier dynamic programming: crossings are smoothed one at a time in
-    _sweep_order.  A DP state is the pairing `mate` of the open edge-ends
-    (ends at crossings not yet smoothed): mate[x] is the far end of the
-    strand that leaves x.  An edge with both ends open has the default
-    pairing mate[x] = x ^ 1; the state key is the sorted tuple of the
-    other (end, mate) items.  Each state carries a histogram keyed by
-    a_choices * stride + closed loops.  Smoothing joins two ends x, y:
-    when mate[x] == y the strand closes into a loop, otherwise mate[x]
-    and mate[y] become partners.  Work grows with the number of states,
-    which depends on the cut width rather than on n; past
+    _sweep_order.  A DP state is the pairing of the open edge-ends (ends
+    at crossings not yet smoothed).  Its key is a byte string with one
+    item per edge end (edge e has tail 2e and head 2e + 1): item x is the
+    far end of the strand that leaves x, which is x ^ 1 while both ends
+    of x's edge are open, and a sentinel (all bits set) once x's crossing
+    is swept, so that states with the same pairing have the same key.  An
+    item is one byte while the end ids stay below the sentinel (at most
+    127 edges), two bytes up to 32 767 edges and a C long past that.
+    Smoothing joins two ends x, y: when item x is y the strand closes
+    into a loop, otherwise the far ends of x and y become partners.  One
+    smoothing costs an array copy of the key, at most eight item writes
+    and one tobytes().  Each state carries a histogram keyed by
+    a_choices * stride + closed loops.  Work grows with the number of
+    states, which depends on the cut width rather than on n; past
     VKNOTS_STATE_BUDGET states after one crossing the sum stops with
     BudgetError.
     """
@@ -123,7 +129,10 @@ def _state_counts(code):
     budget = read_budget(STATE_BUDGET_ENV_VAR, DEFAULT_STATE_BUDGET)
     signs = label_signs(code)
     stride = len(es.edges) + 1  # closed loops never exceed the edge count
-    states = {(): {0: 1}}
+    nends = 2 * len(es.edges)
+    typecode = "B" if nends < 0xFF else "H" if nends < 0xFFFF else "L"
+    sentinel = (1 << 8 * array(typecode).itemsize) - 1
+    states = {array(typecode, [x ^ 1 for x in range(nends)]).tobytes(): {0: 1}}
     for label in _sweep_order(es):
         ce = es.crossing_edges[label]
         ori = _oriented(signs[label], "A")
@@ -131,20 +140,21 @@ def _state_counts(code):
             (stride, _crossing_end_pairs(ce, ori)),
             (0, _crossing_end_pairs(ce, not ori)),
         )
+        (e1, e2), (e3, e4) = smoothings[0][1]  # the crossing's four ends
         swept = {}
         for key, hist in states.items():
             for shift, pairs in smoothings:
-                mate = dict(key)
+                mate = array(typecode, key)
                 for x, y in pairs:
-                    mx = mate.pop(x, x ^ 1)
+                    mx = mate[x]
                     if mx == y:
                         shift += 1
-                        mate.pop(y, None)
                     else:
-                        my = mate.pop(y, y ^ 1)
+                        my = mate[y]
                         mate[mx] = my
                         mate[my] = mx
-                new_key = tuple(sorted(mate.items()))
+                mate[e1] = mate[e2] = mate[e3] = mate[e4] = sentinel
+                new_key = mate.tobytes()
                 target = swept.get(new_key)
                 if target is None:
                     swept[new_key] = {k + shift: m for k, m in hist.items()}
@@ -174,8 +184,8 @@ def bracket(code):
         by_loops.setdefault(loops - 1, {})[2 * a_used - n] = mult
     d = LaurentPoly({2: -1, -2: -1}, "A")
     total = LaurentPoly({}, "A")
-    for k, terms in sorted(by_loops.items()):
-        total = total + d**k * LaurentPoly(terms, "A")
+    for k in range(max(by_loops), -1, -1):  # Horner in d; loops >= 1
+        total = total * d + LaurentPoly(by_loops.get(k, {}), "A")
     return total
 
 

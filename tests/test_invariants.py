@@ -1,6 +1,8 @@
+import json
 import random
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from vknots.invariants import (
     _crossing_end_pairs,
     _oriented,
     _state_counts,
+    _sweep_order,
     arrow_expansion,
     atom_congruence_ok,
     atom_profile,
@@ -223,6 +226,131 @@ def test_state_budget(monkeypatch):
     assert _state_counts(code) == _dfs_state_counts(code)
 
 
+def _quadratic_sweep_order(es):
+    """The sweep order _sweep_order keeps by incremental scores, found by
+    re-scoring every remaining crossing at each step."""
+    ends = {
+        label: (2 * o_in + 1, 2 * o_out, 2 * u_in + 1, 2 * u_out)
+        for label, (o_in, o_out, u_in, u_out) in es.crossing_edges.items()
+    }
+    at = {x: label for label, xs in ends.items() for x in xs}
+    partners = {label: [at[x ^ 1] for x in xs] for label, xs in ends.items()}
+    swept = set()
+    order = []
+    rest = sorted(ends)
+    while rest:
+        label = max(
+            rest,
+            key=lambda l: sum(2 if y in swept else y == l for y in partners[l]),
+        )
+        rest.remove(label)
+        swept.add(label)
+        order.append(label)
+    return order
+
+
+def _dict_state_counts(code):
+    """The frontier DP with dict-built state keys that the byte-string keys
+    replaced: ({(a_choices, loops): multiplicity}, [frontier states after
+    each crossing]).  The key is the sorted tuple of the (end, mate) items
+    of the open ends whose mate is not the default x ^ 1."""
+    es = edge_structure(code)
+    if not es.edges:
+        return {(0, es.free_circles): 1}, []
+    stride = len(es.edges) + 1
+    states = {(): {0: 1}}
+    sizes = []
+    for label in _quadratic_sweep_order(es):
+        ce = es.crossing_edges[label]
+        ori = _oriented(code.sign_of(label), "A")
+        smoothings = (
+            (stride, _crossing_end_pairs(ce, ori)),
+            (0, _crossing_end_pairs(ce, not ori)),
+        )
+        swept = {}
+        for key, hist in states.items():
+            for shift, pairs in smoothings:
+                mate = dict(key)
+                for x, y in pairs:
+                    mx = mate.pop(x, x ^ 1)
+                    if mx == y:
+                        shift += 1
+                        mate.pop(y, None)
+                    else:
+                        my = mate.pop(y, y ^ 1)
+                        mate[mx] = my
+                        mate[my] = mx
+                target = swept.setdefault(tuple(sorted(mate.items())), {})
+                for k, m in hist.items():
+                    target[k + shift] = target.get(k + shift, 0) + m
+        states = swept
+        sizes.append(len(states))
+    (hist,) = states.values()
+    out = {}
+    for k, m in hist.items():
+        a_used, loops = divmod(k, stride)
+        out[(a_used, loops + es.free_circles)] = m
+    return out, sizes
+
+
+class _RecordingBudget:
+    """A state budget that never runs out and records each frontier size
+    _state_counts checks against it, one per crossing swept."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __lt__(self, size):  # reached as `size > budget`
+        self.sizes.append(size)
+        return False
+
+
+def _state_counts_by_step(monkeypatch, code):
+    """_state_counts(code) and its frontier size after each crossing."""
+    budget = _RecordingBudget()
+    with monkeypatch.context() as mp:
+        mp.setattr(invariants, "read_budget", lambda *args: budget)
+        return _state_counts(code), budget.sizes
+
+
+def _jones_corpus_codes():
+    """The knots and links of the benchmark's jones corpus (14-17
+    crossings, 4-5 component links)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "jones.json"
+    with open(path, encoding="utf-8") as fh:
+        return [parse_gauss(item["code"]) for item in json.load(fh)["items"]]
+
+
+def test_sweep_order_matches_quadratic_greedy():
+    rng = random.Random(4105)
+    codes = _state_sum_codes()
+    codes += [random_code(rng, n) for n in range(1, 31) for _ in range(3)]
+    for code in codes:
+        es = edge_structure(code)
+        assert _sweep_order(es) == _quadratic_sweep_order(es), code
+
+
+def test_state_counts_match_dict_keyed_dp_step_by_step(monkeypatch):
+    codes = _state_sum_codes() + _jones_corpus_codes()
+    assert len(codes) > 300 and max(c.n_crossings for c in codes) == 17
+    for code in codes:
+        want = _dict_state_counts(code)
+        assert _state_counts_by_step(monkeypatch, code) == want, code
+
+
+def test_state_budget_boundary(monkeypatch):
+    """The sum passes with the budget at its peak frontier size and stops
+    one state below it."""
+    for code in [random_code(random.Random(7), 8), *_jones_corpus_codes()[:3]]:
+        want, sizes = _dict_state_counts(code)
+        peak = max(sizes)
+        monkeypatch.setenv("VKNOTS_STATE_BUDGET", str(peak))
+        assert _state_counts(code) == want
+        monkeypatch.setenv("VKNOTS_STATE_BUDGET", str(peak - 1))
+        with pytest.raises(BudgetError, match=f"budget of {peak - 1} "):
+            _state_counts(code)
+
+
 def test_bracket_of_criterion_11_code_is_fast():
     code = random_code(random.Random(1111), 18)
     t0 = time.perf_counter()
@@ -249,6 +377,16 @@ def test_thirty_crossing_bracket_with_a_narrow_frontier():
     # a reduced alternating diagram's bracket spans 4n (Kauffman-Murasugi)
     assert max(br.terms) - min(br.terms) == 4 * 30
     assert _torus_2_code(3) == TREFOIL
+
+
+def test_wide_state_keys_take_two_bytes_per_end(monkeypatch):
+    """The (2, 70) torus link has 140 edges, so 280 edge ends: too many
+    to number in one byte beside the sentinel."""
+    code = parse_gauss(_torus_2_code(70))
+    assert 2 * len(edge_structure(code).edges) == 280
+    assert _state_counts_by_step(monkeypatch, code) == _dict_state_counts(code)
+    br = bracket(code)
+    assert max(br.terms) - min(br.terms) == 4 * 70
 
 
 def test_congruence_from_f_equals_bracket_congruence():
