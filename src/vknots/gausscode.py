@@ -171,6 +171,9 @@ def canonicalize(code):
     the pairs that tie for the smallest tuple become the next branches.
     Branches with the same remaining components that agree on the labels
     those components carry have the same future, so one of them is kept.
+    A pair's key is compared with the smallest so far while it is built:
+    it is dropped at its first larger entry, or when it runs past the
+    smallest one with every entry equal.
     """
     comps = code.components
     empties = sum(1 for c in comps if not c)
@@ -184,20 +187,32 @@ def canonicalize(code):
         for remaining, mapping in branches:
             for i in remaining:
                 comp = nonempty[i]
-                rest = tuple(j for j in remaining if j != i)
-                live = set().union(*(comp_labels[j] for j in rest))
-                for rot in range(len(comp)):
+                size = len(comp)
+                live = None
+                for rot in range(size):
                     new_map = dict(mapping)
                     key = []
+                    below = level_min is None
                     for e in comp[rot:] + comp[:rot]:
                         if e.label not in new_map:
                             new_map[e.label] = len(new_map) + 1
-                        key.append((e.passage, new_map[e.label], e.sign))
-                    key = tuple(key)
-                    if level_min is None or key < level_min:
-                        level_min, tied = key, {}
-                    elif key > level_min:
-                        continue
+                        entry = (e.passage, new_map[e.label], e.sign)
+                        if not below:
+                            if len(key) == len(level_min):
+                                break  # longer, with level_min as prefix
+                            least = level_min[len(key)]
+                            if entry != least:
+                                if entry > least:
+                                    break
+                                below = True
+                        key.append(entry)
+                    if len(key) < size:
+                        continue  # dropped before its end
+                    if below or size < len(level_min):
+                        level_min, tied = tuple(key), {}
+                    if live is None:
+                        rest = tuple(j for j in remaining if j != i)
+                        live = set().union(*(comp_labels[j] for j in rest))
                     future = tuple(
                         sorted((l, v) for l, v in new_map.items() if l in live)
                     )
@@ -378,48 +393,39 @@ def diagram_pieces(code):
 # surface built from this rotation system has genus zero on every
 # connected piece, which Euler's formula decides after face tracing.
 
-_SLOTS_POS = ("O_in", "U_in", "O_out", "U_out")
-_SLOTS_NEG = ("O_in", "U_out", "O_out", "U_in")
-
 
 def realizability_check(code):
     es = edge_structure(code)
-    labels = code.labels
-    if not labels:
+    if not es.edges:
         return True
     signs = label_signs(code)
-    # slot id: (label, k) with k the ccw position 0..3
-    slot_of_end = {}  # ("head"/"tail", edge) -> slot
-    end_of_slot = {}
-    for label in labels:
-        o_in, o_out, u_in, u_out = es.crossing_edges[label]
-        names = _SLOTS_POS if signs[label] > 0 else _SLOTS_NEG
-        for k, nm in enumerate(names):
-            slot = (label, k)
-            end = {
-                "O_in": ("head", o_in),
-                "O_out": ("tail", o_out),
-                "U_in": ("head", u_in),
-                "U_out": ("tail", u_out),
-            }[nm]
-            slot_of_end[end] = slot
-            end_of_slot[slot] = end
-    # darts: (edge, +1) runs tail->head, (edge, -1) runs head->tail
-    unused = {(e, d) for e in range(len(es.edges)) for d in (1, -1)}
+    # edge ends as in the bracket: 2e is edge e's tail, 2e + 1 its head
+    nends = 2 * len(es.edges)
+    next_ccw = [0] * nends
+    label_of = [0] * nends
+    for label, (o_in, o_out, u_in, u_out) in es.crossing_edges.items():
+        if signs[label] > 0:
+            ring = (2 * o_in + 1, 2 * u_in + 1, 2 * o_out, 2 * u_out)
+        else:
+            ring = (2 * o_in + 1, 2 * u_out, 2 * o_out, 2 * u_in + 1)
+        for k, x in enumerate(ring):
+            next_ccw[x] = ring[k - 3]
+            label_of[x] = label
     pieces = diagram_pieces(code)
     piece_of = {l: i for i, piece in enumerate(pieces) for l in piece}
     faces_per_piece = [0] * len(pieces)
-    while unused:
-        dart = next(iter(unused))
-        while dart in unused:
-            unused.discard(dart)
-            edge, direction = dart
-            arrive = ("head", edge) if direction == 1 else ("tail", edge)
-            label, k = slot_of_end[arrive]
-            kind, e2 = end_of_slot[(label, (k + 1) % 4)]
-            dart = (e2, 1) if kind == "tail" else (e2, -1)
+    # a dart is named by the end it arrives at; a dart arriving at x
+    # leaves along the next end counterclockwise and arrives at its far end
+    seen = [False] * nends
+    for start in range(nends):
+        if seen[start]:
+            continue
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = next_ccw[x] ^ 1
         # a face never leaves the piece of the crossings it touches
-        faces_per_piece[piece_of[label]] += 1
+        faces_per_piece[piece_of[label_of[start]]] += 1
     # per piece: V = crossings, E = 2V (each crossing has 4 ends, each edge
     # 2), so the Euler characteristic V - E + F is F - V
     return all(

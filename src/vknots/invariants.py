@@ -117,27 +117,33 @@ def _state_counts(code):
     Smoothing joins two ends x, y: when item x is y the strand closes
     into a loop, otherwise the far ends of x and y become partners.  One
     smoothing costs an array copy of the key, at most eight item writes
-    and one tobytes().  Each state carries a histogram keyed by
-    a_choices * stride + closed loops.  Work grows with the number of
-    states, which depends on the cut width rather than on n; past
-    VKNOTS_STATE_BUDGET states after one crossing the sum stops with
-    BudgetError.
+    and one tobytes().
+
+    Each state carries its histogram as one packed int: slot
+    loops * (n + 1) + a_choices, for loops closed so far, is n + 1 bits
+    wide.  A slot counts at most 2^n states and no count is negative, so
+    no carry crosses a slot, an A-smoothing is a shift by one slot, a
+    closed loop a shift by n + 1 slots, and merging two states is one
+    addition.  Work grows with the number of states, which depends on the
+    cut width rather than on n; past VKNOTS_STATE_BUDGET states after one
+    crossing the sum stops with BudgetError.
     """
     es = edge_structure(code)
     if not es.edges:
         return {(0, es.free_circles): 1}
     budget = read_budget(STATE_BUDGET_ENV_VAR, DEFAULT_STATE_BUDGET)
     signs = label_signs(code)
-    stride = len(es.edges) + 1  # closed loops never exceed the edge count
+    width = len(es.crossing_edges) + 1  # bits per slot; a_choices in 0..n
     nends = 2 * len(es.edges)
     typecode = "B" if nends < 0xFF else "H" if nends < 0xFFFF else "L"
     sentinel = (1 << 8 * array(typecode).itemsize) - 1
-    states = {array(typecode, [x ^ 1 for x in range(nends)]).tobytes(): {0: 1}}
+    loop_shift = width * width
+    states = {array(typecode, [x ^ 1 for x in range(nends)]).tobytes(): 1}
     for label in _sweep_order(es):
         ce = es.crossing_edges[label]
         ori = _oriented(signs[label], "A")
         smoothings = (
-            (stride, _crossing_end_pairs(ce, ori)),
+            (width, _crossing_end_pairs(ce, ori)),
             (0, _crossing_end_pairs(ce, not ori)),
         )
         (e1, e2), (e3, e4) = smoothings[0][1]  # the crossing's four ends
@@ -148,20 +154,14 @@ def _state_counts(code):
                 for x, y in pairs:
                     mx = mate[x]
                     if mx == y:
-                        shift += 1
+                        shift += loop_shift
                     else:
                         my = mate[y]
                         mate[mx] = my
                         mate[my] = mx
                 mate[e1] = mate[e2] = mate[e3] = mate[e4] = sentinel
                 new_key = mate.tobytes()
-                target = swept.get(new_key)
-                if target is None:
-                    swept[new_key] = {k + shift: m for k, m in hist.items()}
-                else:
-                    for k, m in hist.items():
-                        k += shift
-                        target[k] = target.get(k, 0) + m
+                swept[new_key] = swept.get(new_key, 0) + (hist << shift)
         if len(swept) > budget:
             raise BudgetError(
                 f"bracket state sum exceeded budget of {budget} frontier "
@@ -169,10 +169,14 @@ def _state_counts(code):
             )
         states = swept
     (hist,) = states.values()
+    # read the slots off the binary digits, lowest slot last
+    digits = format(hist, "b")
     out = {}
-    for k, m in hist.items():
-        a_used, loops = divmod(k, stride)
-        out[(a_used, loops + es.free_circles)] = m
+    for k, stop in enumerate(range(len(digits), 0, -width)):
+        m = int(digits[max(stop - width, 0):stop], 2)
+        if m:
+            loops, a_used = divmod(k, width)
+            out[(a_used, loops + es.free_circles)] = m
     return out
 
 

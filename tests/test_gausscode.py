@@ -208,6 +208,11 @@ def _symmetric_links():
         "O1-U1-/O2+U2+/()/O3-U3-",
         TREFOIL + "/O4+U5+O6+U4+O5+U6+",
         "O1+U2+/O3+U4+/U1+O2+/U3+O4+",
+        # the kink's key is a proper prefix of the two-kink component's,
+        # in either component order; five split kinks tie at every level
+        "O1+U1+/O2+U2+O3+U3+",
+        "O2+U2+O3+U3+/O1+U1+",
+        "/".join(f"O{i}+U{i}+" for i in range(1, 6)),
     ]
     return [parse_gauss(t) for t in texts]
 

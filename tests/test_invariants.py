@@ -2,6 +2,7 @@ import json
 import random
 import re
 import time
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,26 @@ def test_wide_state_keys_take_two_bytes_per_end(monkeypatch):
     assert _state_counts_by_step(monkeypatch, code) == _dict_state_counts(code)
     br = bracket(code)
     assert max(br.terms) - min(br.terms) == 4 * 70
+
+
+def _kink_chain(n):
+    """One component of n positive kinks in a row: O1+U1+ ... On+Un+."""
+    return parse_gauss("".join(f"O{i}+U{i}+" for i in range(1, n + 1)))
+
+
+def test_packed_histogram_slots_hold_the_largest_count(monkeypatch):
+    """A histogram slot is n + 1 bits wide.  Every state of the n-kink
+    chain closes one loop per A-smoothing, so slot (a, a + 1) counts
+    C(n, a) states; C(20, 10) = 184 756 needs 18 bits of the 21.  The
+    jones corpus and the (2, 70) torus link are compared step by step
+    with the dict-keyed DP by the tests above."""
+    chain = _kink_chain(20)
+    want = {(a, a + 1): comb(20, a) for a in range(21)}
+    assert _state_counts(chain) == want
+    assert _state_counts_by_step(monkeypatch, chain) == _dict_state_counts(chain)
+    assert max(want.values()).bit_length() == 18
+    shorter = _kink_chain(16)
+    assert _state_counts(shorter) == _dfs_state_counts(shorter)
 
 
 def test_congruence_from_f_equals_bracket_congruence():
