@@ -29,7 +29,6 @@ from .gausscode import (
     edge_structure,
     flat_projection,
     inter_component_parity,
-    label_signs,
     parse_gauss,
     realizability_check,
     render_gauss,

@@ -16,7 +16,6 @@ import sys
 
 from .budget import BudgetError, read_budget
 from .catalog import catalog_by_name, load_catalog
-from .coloring import ColoringBudgetError
 from .gausscode import (
     GaussCodeError,
     canonical_key,
@@ -268,7 +267,7 @@ def enumerate_single_component(max_crossings, budget=None):
     """Canonical representatives of single-component codes up to the bound.
 
     Deduplicates by canonical form (codes, not knot types).  Raises
-    ColoringBudgetError when the raw enumeration would exceed the budget.
+    BudgetError when the raw enumeration would exceed the budget.
     """
     if budget is None:
         budget = read_budget(BUDGET_ENV_VAR, DEFAULT_TABULATE_BUDGET)
@@ -276,7 +275,7 @@ def enumerate_single_component(max_crossings, budget=None):
         len(_chord_patterns(n)) * 4**n for n in range(max_crossings + 1)
     )
     if raw > budget:
-        raise ColoringBudgetError(
+        raise BudgetError(
             f"tabulation would enumerate {raw} codes, over the budget of "
             f"{budget} (override with {BUDGET_ENV_VAR})"
         )

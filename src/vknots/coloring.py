@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .budget import BudgetError, read_budget
-from .gausscode import GaussCodeError, edge_structure, label_signs
+from .gausscode import GaussCodeError, edge_structure
 
 BUDGET_ENV_VAR = "VKNOTS_COLOR_BUDGET"
 DEFAULT_COLOR_BUDGET = 10**8
@@ -352,31 +352,33 @@ def _linear_count(n_vars, primes, relations, coeffs):
     """Solutions over Z_q (q the product of primes) of the affine system
     label[out] - alpha*label[a] - beta*label[b] = c, one row per relation.
 
-    The augmented matrix is padded with zero rows and columns to a square
-    for fastdet's Gauss-Jordan elimination, which processes columns in
-    order, so the constant column n_vars holds a pivot exactly when the
-    augmented rank exceeds the coefficient rank.
+    Over each F_p the rows are eliminated one at a time as sparse
+    {column: coefficient} maps, the constant in column n_vars.  A pivot
+    row has a 1 in its pivot column and no entry in an earlier pivot's
+    column, so one pass over the pivot rows in the order found reduces a
+    new row: what is left is zero, a new pivot row, or a lone constant,
+    and then the system has no solution.
     """
-    # imported on first use: loading numpy from this module, ahead of the
-    # rest of the package, raises the process's peak RSS by about 0.6 MB
-    import numpy as np
-
-    from .fastdet import _gauss_jordan_mod
-
-    size = max(len(relations), n_vars + 1)
-    rows = [[0] * size for _ in range(size)]
-    for row, (out, a, b, _table), (alpha, beta, c) in zip(rows, relations, coeffs):
-        row[out] += 1
-        row[a] -= alpha
-        row[b] -= beta
-        row[n_vars] = c
-    system = np.array([rows], dtype=np.int64)
     count = 1
     for p in primes:
-        _m, rank, pivotal, _sign, _lead = _gauss_jordan_mod(system % p, p)
-        if pivotal[0, n_vars]:
-            return 0
-        count *= p ** (n_vars - int(rank[0]))
+        pivots = {}  # pivot column -> pivot row
+        for (out, a, b, _table), (alpha, beta, c) in zip(relations, coeffs):
+            row = {n_vars: c % p}
+            for col, v in ((out, 1), (a, -alpha), (b, -beta)):
+                row[col] = (row.get(col, 0) + v) % p
+            for col, pivot_row in pivots.items():
+                f = row.get(col)
+                if f:
+                    for k, v in pivot_row.items():
+                        row[k] = (row.get(k, 0) - f * v) % p
+            col = next((k for k, v in row.items() if v and k != n_vars), None)
+            if col is None:
+                if row[n_vars]:
+                    return 0
+                continue
+            inv = pow(row[col], -1, p)
+            pivots[col] = {k: v * inv % p for k, v in row.items() if v}
+        count *= p ** (n_vars - len(pivots))
     return count
 
 
@@ -440,11 +442,10 @@ def count_biquandle_colorings(code, bq):
     Every free circle contributes a factor of n (one unconstrained label).
     """
     struct = edge_structure(code)
-    signs = label_signs(code)
     relations = []
     for label in sorted(struct.crossing_edges):
         o_in, o_out, u_in, u_out = struct.crossing_edges[label]
-        if signs[label] > 0:
+        if struct.signs[label] > 0:
             up_table, down_table = bq.up, bq.down
         else:
             up_table, down_table = bq.upbar, bq.downbar

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -67,11 +68,6 @@ class LinkGaussCode:
                 if e.label == label:
                     return e.sign
         raise GaussCodeError(f"unknown label {label}")
-
-
-def label_signs(code):
-    """Label -> sign table of a code: one pass, where sign_of scans."""
-    return {e.label: e.sign for comp in code.components for e in comp}
 
 
 _TOKEN = re.compile(r"\s+|\(\)|/|[OU](?:[1-9][0-9]*)[+-]|.", re.DOTALL)
@@ -268,104 +264,76 @@ def inter_component_parity(code, i, j):
 
 @dataclass(frozen=True)
 class EdgeStructure:
-    """Edges, arcs, and crossing incidences of a code.
+    """The compiled diagram of a code: edges, arcs, crossing incidences,
+    signs and connected pieces, which every invariant reads.
 
     edges[k] = (component, position): the segment from entry `position`
-    to the cyclically next entry of that component.  crossing_edges maps
-    each label to (over_in, over_out, under_in, under_out) edge indices.
-    arcs are maximal edge runs broken only at Under passages; a non-empty
-    component with no Under passage contributes one closed arc (recorded
-    in closed_arc_components).  crossing_arcs maps each label to
-    (over_arc, under_in_arc, under_out_arc).
+    to the cyclically next entry of that component.  Edge e has two ends,
+    its tail 2e and its head 2e + 1.  crossing_edges maps each label to
+    (over_in, over_out, under_in, under_out) edge indices, and
+    crossing_ends to the ends met there: (2*over_in + 1, 2*over_out,
+    2*under_in + 1, 2*under_out).  arcs are maximal edge runs broken only
+    at Under passages (a non-empty component with no Under passage is one
+    closed arc); crossing_arcs maps each label to (over_arc, under_in_arc,
+    under_out_arc).  signs maps each label to its sign.  pieces groups the
+    labels into the connected pieces of the diagram (two components lie in
+    one piece when they share a crossing; free circles belong to none):
+    sorted label tuples, in order of their smallest label.
+
+    edge_structure memoizes it, so one instance is shared by all callers:
+    they must not mutate it.
     """
 
     edges: tuple
     arcs: tuple
     crossing_edges: dict
+    crossing_ends: dict
     crossing_arcs: dict
-    closed_arc_components: tuple
+    signs: dict
+    pieces: tuple
     free_circles: int
 
 
+@lru_cache(maxsize=16)
 def edge_structure(code):
     edges = []
-    edge_index = {}  # (comp, pos) -> global edge id
-    free = 0
-    for ci, comp in enumerate(code.components):
-        if not comp:
-            free += 1
-            continue
-        for pi in range(len(comp)):
-            edge_index[(ci, pi)] = len(edges)
-            edges.append((ci, pi))
-    crossing_edges = {}
-    for ci, comp in enumerate(code.components):
-        k = len(comp)
-        for pi, e in enumerate(comp):
-            e_in = edge_index[(ci, (pi - 1) % k)]
-            e_out = edge_index[(ci, pi)]
-            slot = crossing_edges.setdefault(e.label, [None] * 4)
-            if e.passage == "O":
-                slot[0], slot[1] = e_in, e_out
-            else:
-                slot[2], slot[3] = e_in, e_out
-    crossing_edges = {l: tuple(v) for l, v in crossing_edges.items()}
-
     arcs = []
     arc_of_edge = {}
-    closed = []
+    crossing_edges = {}
+    signs = {}
+    free = 0
     for ci, comp in enumerate(code.components):
         k = len(comp)
-        if k == 0:
+        if not k:
+            free += 1
             continue
-        under_positions = [pi for pi, e in enumerate(comp) if e.passage == "U"]
-        if not under_positions:
-            arc = tuple(edge_index[(ci, pi)] for pi in range(k))
-            for eid in arc:
-                arc_of_edge[eid] = len(arcs)
+        base = len(edges)  # edge id of the component's first segment
+        edges += [(ci, pi) for pi in range(k)]
+        for pi, e in enumerate(comp):
+            slot = crossing_edges.setdefault(e.label, [None] * 4)
+            at = 0 if e.passage == "O" else 2
+            slot[at], slot[at + 1] = base + (pi - 1) % k, base + pi
+            signs[e.label] = e.sign
+        # an arc runs from just after one Under passage to the next; a
+        # component with no Under passage is one closed arc
+        unders = [pi for pi, e in enumerate(comp) if e.passage == "U"] or [0]
+        for start, stop in zip(unders, unders[1:] + unders[:1]):
+            length = (stop - start - 1) % k + 1
+            arc = tuple(base + (start + j) % k for j in range(length))
+            arc_of_edge.update(dict.fromkeys(arc, len(arcs)))
             arcs.append(arc)
-            closed.append(ci)
-            continue
-        # an arc runs from just after one Under passage to the next
-        for a_i, start in enumerate(under_positions):
-            stop = under_positions[(a_i + 1) % len(under_positions)]
-            arc = []
-            pi = start
-            while True:
-                arc.append(edge_index[(ci, pi)])
-                pi = (pi + 1) % k
-                if pi == stop:
-                    break
-            arc = tuple(arc)
-            for eid in arc:
-                arc_of_edge[eid] = len(arcs)
-            arcs.append(arc)
+    crossing_edges = {l: tuple(v) for l, v in crossing_edges.items()}
+    crossing_ends = {
+        l: (2 * o_in + 1, 2 * o_out, 2 * u_in + 1, 2 * u_out)
+        for l, (o_in, o_out, u_in, u_out) in crossing_edges.items()
+    }
+    crossing_arcs = {
+        l: (arc_of_edge[o_out], arc_of_edge[u_in], arc_of_edge[u_out])
+        for l, (o_in, o_out, u_in, u_out) in crossing_edges.items()
+    }
 
-    crossing_arcs = {}
-    for label, (o_in, o_out, u_in, u_out) in crossing_edges.items():
-        crossing_arcs[label] = (
-            arc_of_edge[o_out],
-            arc_of_edge[u_in],
-            arc_of_edge[u_out],
-        )
-    return EdgeStructure(
-        edges=tuple(edges),
-        arcs=tuple(arcs),
-        crossing_edges=crossing_edges,
-        crossing_arcs=crossing_arcs,
-        closed_arc_components=tuple(closed),
-        free_circles=free,
-    )
-
-
-def diagram_pieces(code):
-    """Crossing labels grouped into the connected pieces of the diagram.
-
-    Two components lie in one piece when they share a crossing.  Free
-    circles carry no labels and belong to no piece.  Each piece is a
-    sorted tuple of labels; pieces come in order of their smallest label.
-    """
-    labels = code.labels
+    # pieces: union-find over labels, joining neighbours along a component
+    labels = sorted(signs)
     parent = {l: l for l in labels}
 
     def find(x):
@@ -380,7 +348,16 @@ def diagram_pieces(code):
     pieces = {}
     for l in labels:
         pieces.setdefault(find(l), []).append(l)
-    return [tuple(piece) for piece in pieces.values()]
+    return EdgeStructure(
+        edges=tuple(edges),
+        arcs=tuple(arcs),
+        crossing_edges=crossing_edges,
+        crossing_ends=crossing_ends,
+        crossing_arcs=crossing_arcs,
+        signs=signs,
+        pieces=tuple(tuple(piece) for piece in pieces.values()),
+        free_circles=free,
+    )
 
 
 # --- realizability -------------------------------------------------------
@@ -398,22 +375,19 @@ def realizability_check(code):
     es = edge_structure(code)
     if not es.edges:
         return True
-    signs = label_signs(code)
-    # edge ends as in the bracket: 2e is edge e's tail, 2e + 1 its head
     nends = 2 * len(es.edges)
     next_ccw = [0] * nends
     label_of = [0] * nends
-    for label, (o_in, o_out, u_in, u_out) in es.crossing_edges.items():
-        if signs[label] > 0:
-            ring = (2 * o_in + 1, 2 * u_in + 1, 2 * o_out, 2 * u_out)
+    for label, (o_in, o_out, u_in, u_out) in es.crossing_ends.items():
+        if es.signs[label] > 0:
+            ring = (o_in, u_in, o_out, u_out)
         else:
-            ring = (2 * o_in + 1, 2 * u_out, 2 * o_out, 2 * u_in + 1)
+            ring = (o_in, u_out, o_out, u_in)
         for k, x in enumerate(ring):
             next_ccw[x] = ring[k - 3]
             label_of[x] = label
-    pieces = diagram_pieces(code)
-    piece_of = {l: i for i, piece in enumerate(pieces) for l in piece}
-    faces_per_piece = [0] * len(pieces)
+    piece_of = {l: i for i, piece in enumerate(es.pieces) for l in piece}
+    faces_per_piece = [0] * len(es.pieces)
     # a dart is named by the end it arrives at; a dart arriving at x
     # leaves along the next end counterclockwise and arrives at its far end
     seen = [False] * nends
@@ -429,5 +403,6 @@ def realizability_check(code):
     # per piece: V = crossings, E = 2V (each crossing has 4 ends, each edge
     # 2), so the Euler characteristic V - E + F is F - V
     return all(
-        faces - len(piece) == 2 for piece, faces in zip(pieces, faces_per_piece)
+        faces - len(piece) == 2
+        for piece, faces in zip(es.pieces, faces_per_piece)
     )

@@ -18,7 +18,7 @@ from .fastdet import (
     det_laurent2,
     quaternion_setup,
 )
-from .gausscode import diagram_pieces, edge_structure, label_signs
+from .gausscode import edge_structure
 from .laurent import (
     LaurentPoly,
     LaurentPoly2,
@@ -43,26 +43,19 @@ def _oriented(sign, smoothing):
     return (sign > 0) == (smoothing == "A")
 
 
-def _crossing_end_pairs(ce, oriented):
-    """Matched edge-end pairs at one crossing.
-
-    Edge ends are numbered 2e (tail) and 2e+1 (head); ce is the
-    (over_in, over_out, under_in, under_out) edge-id quadruple.
-    """
-    o_in, o_out, u_in, u_out = ce
+def _crossing_end_pairs(ends, oriented):
+    """Matched edge-end pairs at one crossing, whose EdgeStructure
+    crossing_ends are (over_in, over_out, under_in, under_out)."""
+    o_in, o_out, u_in, u_out = ends
     if oriented:
-        return ((2 * o_in + 1, 2 * u_out), (2 * u_in + 1, 2 * o_out))
-    return ((2 * o_in + 1, 2 * u_in + 1), (2 * o_out, 2 * u_out))
+        return ((o_in, u_out), (u_in, o_out))
+    return ((o_in, u_in), (o_out, u_out))
 
 
 def loop_count(code, state):
     """Number of loops after smoothing every crossing per the state."""
     es = edge_structure(code)
-    return len(_traced_loops(es, label_signs(code), state)[0]) + es.free_circles
-
-
-def _free_circles(code):
-    return sum(1 for comp in code.components if not comp)
+    return len(_traced_loops(es, state)[0]) + es.free_circles
 
 
 def writhe(code):
@@ -84,10 +77,7 @@ def _sweep_order(es):
     scores are kept up to date as crossings are swept: sweeping one adds
     2 to a partner's score once per edge they share.
     """
-    ends = {
-        label: (2 * o_in + 1, 2 * o_out, 2 * u_in + 1, 2 * u_out)
-        for label, (o_in, o_out, u_in, u_out) in es.crossing_edges.items()
-    }
+    ends = es.crossing_ends
     at = {x: label for label, xs in ends.items() for x in xs}
     partners = {label: [at[x ^ 1] for x in xs] for label, xs in ends.items()}
     score = {label: ys.count(label) for label, ys in partners.items()}
@@ -132,21 +122,20 @@ def _state_counts(code):
     if not es.edges:
         return {(0, es.free_circles): 1}
     budget = read_budget(STATE_BUDGET_ENV_VAR, DEFAULT_STATE_BUDGET)
-    signs = label_signs(code)
-    width = len(es.crossing_edges) + 1  # bits per slot; a_choices in 0..n
+    width = len(es.crossing_ends) + 1  # bits per slot; a_choices in 0..n
     nends = 2 * len(es.edges)
     typecode = "B" if nends < 0xFF else "H" if nends < 0xFFFF else "L"
     sentinel = (1 << 8 * array(typecode).itemsize) - 1
     loop_shift = width * width
     states = {array(typecode, [x ^ 1 for x in range(nends)]).tobytes(): 1}
     for label in _sweep_order(es):
-        ce = es.crossing_edges[label]
-        ori = _oriented(signs[label], "A")
+        ends = es.crossing_ends[label]
+        ori = _oriented(es.signs[label], "A")
         smoothings = (
-            (width, _crossing_end_pairs(ce, ori)),
-            (0, _crossing_end_pairs(ce, not ori)),
+            (width, _crossing_end_pairs(ends, ori)),
+            (0, _crossing_end_pairs(ends, not ori)),
         )
-        (e1, e2), (e3, e4) = smoothings[0][1]  # the crossing's four ends
+        e1, e2, e3, e4 = ends
         swept = {}
         for key, hist in states.items():
             for shift, pairs in smoothings:
@@ -229,13 +218,12 @@ def alexander_matrix(code):
     """Relation matrix over Z[s^+/-, t^+/-]; columns indexed by edges,
     then one zero column per crossing-free circle component."""
     es = edge_structure(code)
-    signs = label_signs(code)
     ncols = len(es.edges) + es.free_circles
     rows = []
     one = {(0, 0): 1}
     for label in code.labels:
         o_in, o_out, u_in, u_out = es.crossing_edges[label]
-        eps = 1 if signs[label] > 0 else -1
+        eps = 1 if es.signs[label] > 0 else -1
         # c - t^eps a - (1 - s^eps t^eps) b = 0
         row1 = [LaurentPoly2({}) for _ in range(ncols)]
         row1[u_out] = row1[u_out] + _sp2(one)
@@ -257,7 +245,7 @@ def gen_alexander(code):
     relation-free generator, so the zeroth elementary ideal (hence the
     result) is 0 whenever one is present alongside anything else.
     """
-    free = _free_circles(code)
+    free = edge_structure(code).free_circles
     if free and (code.n_crossings or free > 1):
         return LaurentPoly2({})
     if not code.n_crossings:
@@ -286,14 +274,14 @@ def _q(w=0, x=0, y=0, z=0, tpow=0):
     )
 
 
-def _quaternionic_terms(code, es, signs):
+def _quaternionic_terms(es):
     """(row, column, w, x, y, z, tpow) for each term
     (w + x i + y j + z k) t^tpow of the quaternionic relation matrix, one
-    pair of rows per crossing."""
+    pair of rows per crossing, in label order."""
     terms = []
-    for k, label in enumerate(code.labels):
+    for k, label in enumerate(sorted(es.crossing_edges)):
         o_in, o_out, u_in, u_out = es.crossing_edges[label]
-        eps = 1 if signs[label] > 0 else -1
+        eps = 1 if es.signs[label] > 0 else -1
         r1, r2 = 2 * k, 2 * k + 1
         terms += [
             # c - (j t^eps) a - (1 + eps*i) b = 0
@@ -314,7 +302,7 @@ def quaternionic_matrix(code):
     ncols = len(es.edges) + es.free_circles
     zero = _q()
     rows = [[zero] * ncols for _ in range(2 * code.n_crossings)]
-    for r, c, w, x, y, z, tpow in _quaternionic_terms(code, es, label_signs(code)):
+    for r, c, w, x, y, z, tpow in _quaternionic_terms(es):
         rows[r][c] = rows[r][c] + _q(w, x, y, z, tpow)
     return rows
 
@@ -325,8 +313,7 @@ def doubled_setup(code):
     relation terms without quaternion objects (terms landing on one
     entry, at a kink, add up)."""
     es = edge_structure(code)
-    terms = _quaternionic_terms(code, es, label_signs(code))
-    return quaternion_setup(len(es.edges), terms)
+    return quaternion_setup(len(es.edges), _quaternionic_terms(es))
 
 
 def _qmat_setup(qmat):
@@ -396,13 +383,14 @@ def quaternionic_invariant(code):
     The doubling's determinant and all its block-deleted minors come from
     one engine call on one coefficient-array build.
     """
-    free = _free_circles(code)
+    es = edge_structure(code)
+    free = es.free_circles
     if free >= 2:
         return (LaurentPoly({}), LaurentPoly({}))
-    if not code.n_crossings:
+    if not es.edges:
         # no relations: a free module of rank free <= 1
         return (LaurentPoly({}), LaurentPoly.const(1))
-    setup = doubled_setup(code)
+    setup = quaternion_setup(len(es.edges), _quaternionic_terms(es))
     selections = block_selections(len(setup.shifts))
     if free:
         # one free circle next to crossings: E_0 = 0; E_1 = the square
@@ -429,19 +417,18 @@ class AtomProfile:
     b_loops: int
 
 
-def _traced_loops(es, signs, state):
-    """Loops of a state (label -> "A" or "B") as edge traversals.
-
-    es is the code's EdgeStructure and signs its label -> sign table.
+def _traced_loops(es, state):
+    """Loops of a state (label -> "A" or "B") as edge traversals of the
+    code's EdgeStructure es.
 
     Returns (loops, cell_of_edge, dir_of_edge): each loop is a tuple of
     edge ids; dir_of_edge[e] is +1 when the loop runs along the edge's own
     orientation and -1 otherwise.  Free circles are not traced.
     """
     match = {}
-    for label, ce in es.crossing_edges.items():
-        ori = _oriented(signs[label], state[label])
-        for a, b in _crossing_end_pairs(ce, ori):
+    for label, ends in es.crossing_ends.items():
+        ori = _oriented(es.signs[label], state[label])
+        for a, b in _crossing_end_pairs(ends, ori):
             match[a] = b
             match[b] = a
     loops = []
@@ -449,18 +436,18 @@ def _traced_loops(es, signs, state):
     dir_of_edge = {}
     unvisited = set(range(len(es.edges)))
     while unvisited:
-        e0 = min(unvisited)
+        # a loop leaves each edge by one end x (the tail 2e when it runs
+        # along e) and goes on from the end matched to x's far end x ^ 1
+        start = x = 2 * min(unvisited)
         loop = []
-        e, d = e0, 1
         while True:
+            e = x >> 1
             loop.append(e)
             unvisited.discard(e)
             cell_of_edge[e] = len(loops)
-            dir_of_edge[e] = d
-            arrive = 2 * e + 1 if d == 1 else 2 * e
-            nxt = match[arrive]
-            e, d = (nxt // 2, 1) if nxt % 2 == 0 else (nxt // 2, -1)
-            if (e, d) == (e0, 1):
+            dir_of_edge[e] = -1 if x & 1 else 1
+            x = match[x ^ 1]
+            if x == start:
                 break
         loops.append(tuple(loop))
     return loops, cell_of_edge, dir_of_edge
@@ -477,9 +464,8 @@ def atom_profile(code):
     are spheres).
     """
     es = edge_structure(code)
-    signs = label_signs(code)
-    a_loops_l, a_cell, a_dir = _traced_loops(es, signs, dict.fromkeys(signs, "A"))
-    b_loops_l, b_cell, b_dir = _traced_loops(es, signs, dict.fromkeys(signs, "B"))
+    a_loops_l, a_cell, a_dir = _traced_loops(es, dict.fromkeys(es.signs, "A"))
+    b_loops_l, b_cell, b_dir = _traced_loops(es, dict.fromkeys(es.signs, "B"))
     a_loops = len(a_loops_l) + es.free_circles
     b_loops = len(b_loops_l) + es.free_circles
 
@@ -520,7 +506,7 @@ def atom_profile(code):
 
     # genus per connected piece of the diagram
     genus = 0
-    for piece in diagram_pieces(code):
+    for piece in es.pieces:
         n = len(piece)
         piece_edges = {e for l in piece for e in es.crossing_edges[l]}
         fa = len({a_cell[e] for e in piece_edges})

@@ -18,7 +18,7 @@ from .gausscode import (
     GaussEntry,
     LinkGaussCode,
     canonicalize,
-    label_signs,
+    edge_structure,
 )
 
 MOVE_KINDS = ("R1Add", "R1Remove", "R2Add", "R2Remove", "R3", "ForbiddenOver")
@@ -312,7 +312,7 @@ def _r3_legal(code, trio, labelsets):
     for si, info in enumerate(strand_info):
         for lab, passage in info:
             cross_strands.setdefault(lab, {})[passage] = si
-    signs = label_signs(code)
+    signs = edge_structure(code).signs
     for assign in permutations(range(3)):  # strand s -> line assign[s]
         line_of = assign
         strand_at_line = {line_of[s]: s for s in range(3)}

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
+from vknots.budget import BudgetError
 from vknots.cli import enumerate_single_component, main
-from vknots.coloring import ColoringBudgetError
 
 
 def run(capsys, *argv):
@@ -169,8 +171,24 @@ def test_tabulate_deterministic(capsys):
 
 def test_tabulate_budget(monkeypatch):
     monkeypatch.setenv("VKNOTS_BUDGET", "10")
-    with pytest.raises(ColoringBudgetError):
+    with pytest.raises(BudgetError) as e:
         enumerate_single_component(2)
+    # tabulation is no coloring search: the plain budget error, not a subclass
+    assert type(e.value) is BudgetError
+    assert "VKNOTS_BUDGET" in str(e.value)
+
+
+def test_tabulate_output_pinned(capsys):
+    # SHA-256 of the whole stdout; the --max 4 run is pinned in CI
+    rc, out, _ = run(
+        capsys, "tabulate", "--max", "3", "--all",
+        "--colorings", "dihedral-3", "--colorings", "alexander-5-2-3",
+    )
+    assert rc == 0
+    assert len(out.splitlines()) == 182
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e119d1a1c5f620c6ae09bcc575f99d51b9ff73bae1e042b960800e61854b4967"
+    )
 
 
 def test_tabulate_budget_exit_code(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from vknots.gausscode import (
     LinkGaussCode,
     canonical_key,
     canonicalize,
-    diagram_pieces,
     edge_structure,
     flat_projection,
     inter_component_parity,
@@ -280,7 +279,68 @@ def test_edge_structure_free_circles():
 def test_edge_structure_closed_arc():
     # one component passes only over: it forms a single closed arc
     es = edge_structure(parse_gauss("O1+O2+/U1+U2+"))
-    assert es.closed_arc_components == (0,)
+    comp0 = tuple(e for e, (ci, _) in enumerate(es.edges) if ci == 0)
+    assert comp0 in es.arcs
+    over_arcs = {over for over, _, _ in es.crossing_arcs.values()}
+    assert over_arcs == {es.arcs.index(comp0)}
+
+
+def _brute_force_pieces(code):
+    """Labels grouped by components that share a crossing, by repeated
+    merging of label sets."""
+    groups = [{e.label for e in comp} for comp in code.components if comp]
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if groups[i] & groups[j]:
+                    groups[i] |= groups.pop(j)
+                    merged = True
+                    break
+            if merged:
+                break
+    return sorted(tuple(sorted(g)) for g in groups)
+
+
+def _compiled_structure_codes():
+    rng = random.Random(4100)
+    codes = [random_code(rng, n) for n in range(9) for _ in range(6)]
+    codes += [
+        parse_gauss(random_link_text(rng, n, k, free))
+        for n, k, free in [(3, 2, 1), (4, 3, 0), (5, 2, 2), (6, 4, 1), (8, 5, 0)]
+    ]
+    codes += [
+        parse_gauss(TREFOIL + "/O4-U5-/U4-O5-/O6+U6+/()"),
+        parse_gauss(HOPF + "/()/()"),
+        parse_gauss("()"),
+    ]
+    return codes
+
+
+def test_compiled_structure_matches_its_code():
+    for code in _compiled_structure_codes():
+        es = edge_structure(code)
+        assert es.signs == {e.label: e.sign for c in code.components for e in c}
+        assert list(es.pieces) == _brute_force_pieces(code)
+        assert es.pieces == tuple(sorted(es.pieces))
+        assert set(es.crossing_ends) == set(es.crossing_edges)
+        for label, (o_in, o_out, u_in, u_out) in es.crossing_edges.items():
+            assert es.crossing_ends[label] == (
+                2 * o_in + 1, 2 * o_out, 2 * u_in + 1, 2 * u_out
+            )
+        # each end of each edge is met at exactly one crossing
+        ends = sorted(x for xs in es.crossing_ends.values() for x in xs)
+        assert ends == list(range(2 * len(es.edges)))
+        assert es.free_circles == sum(1 for c in code.components if not c)
+
+
+def test_edge_structure_is_memoized_and_bounded():
+    code = parse_gauss(TREFOIL)
+    edge_structure.cache_clear()
+    assert edge_structure(code) is edge_structure(parse_gauss(TREFOIL))
+    assert edge_structure.cache_info().misses == 1
+    assert edge_structure.cache_info().maxsize == 16
 
 
 def test_edges_conserved(rng):
@@ -313,9 +373,9 @@ def test_realizability_known(text, expected):
 
 def test_diagram_pieces_split_link_and_free_circle():
     split = parse_gauss(TREFOIL + "/O4-U5-/U4-O5-/O6+U6+")
-    assert diagram_pieces(split) == [(1, 2, 3), (4, 5), (6,)]
-    assert diagram_pieces(parse_gauss(HOPF + "/()")) == [(1, 2)]
-    assert diagram_pieces(parse_gauss("()")) == []
+    assert edge_structure(split).pieces == ((1, 2, 3), (4, 5), (6,))
+    assert edge_structure(parse_gauss(HOPF + "/()")).pieces == ((1, 2),)
+    assert edge_structure(parse_gauss("()")).pieces == ()
 
 
 def test_realizability_per_piece():

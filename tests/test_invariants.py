@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from vknots import invariants
+from vknots import coloring, gausscode, invariants
 from vknots.budget import BudgetError
 from vknots.catalog import builtin_entries
+from vknots.coloring import count_biquandle_colorings, count_iq_colorings
 import gaussian_engine as oracle
 from vknots.fastdet import block_selections
 from vknots.gausscode import (
@@ -25,6 +26,7 @@ from vknots.invariants import (
     _oriented,
     _state_counts,
     _sweep_order,
+    alexander_matrix,
     arrow_expansion,
     atom_congruence_ok,
     atom_profile,
@@ -50,6 +52,7 @@ from vknots.laurent import (
     poly_gcd,
 )
 from vknots.matrix import det_bareiss, minor_matrix
+from vknots.report import FLAG_NAMES, invariant_report, parse_structure
 from vknots.quaternion import GaussianLaurent, double_matrix
 
 from conftest import (
@@ -167,7 +170,7 @@ def _dfs_state_counts(code):
         sign = code.sign_of(label)
         for choice, smoothing in ((1, "A"), (0, "B")):
             pairs = _crossing_end_pairs(
-                es.crossing_edges[label], _oriented(sign, smoothing)
+                es.crossing_ends[label], _oriented(sign, smoothing)
             )
             for x, y in pairs:
                 union(x, y)
@@ -262,11 +265,11 @@ def _dict_state_counts(code):
     states = {(): {0: 1}}
     sizes = []
     for label in _quadratic_sweep_order(es):
-        ce = es.crossing_edges[label]
+        ends = es.crossing_ends[label]
         ori = _oriented(code.sign_of(label), "A")
         smoothings = (
-            (stride, _crossing_end_pairs(ce, ori)),
-            (0, _crossing_end_pairs(ce, not ori)),
+            (stride, _crossing_end_pairs(ends, ori)),
+            (0, _crossing_end_pairs(ends, not ori)),
         )
         swept = {}
         for key, hist in states.items():
@@ -416,16 +419,21 @@ def test_congruence_from_f_equals_bracket_congruence():
 
 
 def _edge_structure_calls(monkeypatch, fn, *args):
+    """Calls of edge_structure, memo hits included, made by fn(*args)
+    through any module that binds it."""
     calls = []
-    real = invariants.edge_structure
+    real = gausscode.edge_structure
 
     def counting(code):
         calls.append(code)
         return real(code)
 
-    monkeypatch.setattr(invariants, "edge_structure", counting)
+    modules = (invariants, coloring, gausscode)
+    for module in modules:
+        monkeypatch.setattr(module, "edge_structure", counting)
     fn(*args)
-    monkeypatch.setattr(invariants, "edge_structure", real)
+    for module in modules:
+        monkeypatch.setattr(module, "edge_structure", real)
     return len(calls)
 
 
@@ -436,6 +444,24 @@ def test_each_invariant_builds_the_edge_structure_once(monkeypatch):
     assert _edge_structure_calls(monkeypatch, loop_count, code, state) == 1
     assert _edge_structure_calls(monkeypatch, bracket, code) == 1
     assert _edge_structure_calls(monkeypatch, quaternionic_invariant, code) == 1
+    assert _edge_structure_calls(monkeypatch, alexander_matrix, code) == 1
+    assert _edge_structure_calls(monkeypatch, realizability_check, code) == 1
+    for spec, count in (("alexander-5-2-3", count_biquandle_colorings),
+                        ("dihedral-3", count_iq_colorings)):
+        struct = parse_structure(spec)
+        assert _edge_structure_calls(monkeypatch, count, code, struct) == 1
+
+
+@pytest.mark.parametrize(
+    "text", [TREFOIL, KISHINO, HOPF + "/()", TREFOIL + "/O4-U5-/U4-O5-/()", "()"]
+)
+def test_one_compile_per_report(text):
+    structures = [parse_structure("dihedral-3"), parse_structure("alexander-5-2-3")]
+    for want in (set(FLAG_NAMES), {"f", "atom"}):
+        code = parse_gauss(text)
+        gausscode.edge_structure.cache_clear()
+        invariant_report(code, want, structures)
+        assert gausscode.edge_structure.cache_info().misses == 1
 
 
 def test_writhe():
