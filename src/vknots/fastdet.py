@@ -80,6 +80,9 @@ rule is picked by the rank of the evaluated matrix A over F_p:
 * rank < N-2: det A and every minor are 0;
 * rank N-1: det A = 0 and the minors are eliminated one by one.
 
+A list that asks for det A alone skips all of this: det A is read off
+one division-free LU of each evaluated matrix (``_chunked_det``).
+
 Each rule is an identity over F_p, so every value is exact whatever the
 generic rank of the polynomial matrix (Horn & Johnson, *Matrix Analysis*,
 section 0.8).  No floating point is involved anywhere.
@@ -562,7 +565,8 @@ def det_gaussian_submatrices(setup, selections):
     full selection or one deleting one block row and one block column (see
     block_selections); any other raises ValueError.  Returns one
     LaurentPoly per selection, all read off one Gauss-Jordan elimination
-    per evaluation point (see the module docstring).
+    per evaluation point (see the module docstring); when the full
+    selection is the only one, det A is read off one LU instead.
     """
     coeffs, shifts, degs, weights = setup
     m = len(shifts)
@@ -590,7 +594,10 @@ def det_gaussian_submatrices(setup, selections):
 
     def values(p, points):
         (root,), ts = points
-        det, minors = _block_minors_mod(_evaluate_doubling(coeffs, root, ts, p), p)
+        a = _evaluate_doubling(coeffs, root, ts, p)
+        if set(rs) == {m}:  # the full selection only: det A off one LU
+            return np.repeat(_chunked_det(a, p)[:, None], len(rs), axis=1)
+        det, minors = _block_minors_mod(a, p)
         table = np.pad(minors, ((0, 0), (0, 1), (0, 1)))
         table[:, m, m] = det
         return table[:, rs, cs]

@@ -200,6 +200,135 @@ def jones_t_form(f):
     return LaurentPoly({-e // 4: c for e, c in f.terms.items()}, "t").render()
 
 
+# --- unit-pivot reduction ---------------------------------------------------
+#
+# Every relation row has a literal 1 on an out-edge, so most of a relation
+# matrix can be eliminated exactly by Schur complements before any
+# determinant is taken: the Tietze move on presentations (Fox, "Free
+# differential calculus II", Ann. of Math. 1954).  Matrices are lists of
+# sparse rows {column: entry}, each entry a nonempty {monomial: coefficient}
+# dict.  A ring is given by the product of two monomials and the inverse of
+# a monomial, each returned as (sign, monomial): over Z[s^+/-, t^+/-] a
+# monomial is (a, b) for s^a t^b; over H[t^+/-] it is (tpow, basis) for
+# basis 1, i, j, k numbered 0..3, and t is central.
+
+# _QBASIS[p][q] = (sign, r) with basis p times basis q = sign * basis r
+_QBASIS = (
+    ((1, 0), (1, 1), (1, 2), (1, 3)),
+    ((1, 1), (-1, 0), (1, 3), (-1, 2)),
+    ((1, 2), (-1, 3), (-1, 0), (1, 1)),
+    ((1, 3), (1, 2), (-1, 1), (-1, 0)),
+)
+
+
+def _qmono_mul(x, y):
+    sign, basis = _QBASIS[x[1]][y[1]]
+    return sign, (x[0] + y[0], basis)
+
+
+def _qmono_inv(x):
+    return (-1 if x[1] else 1), (-x[0], x[1])
+
+
+def _lmono_mul(x, y):
+    return 1, (x[0] + y[0], x[1] + y[1])
+
+
+def _lmono_inv(x):
+    return 1, (-x[0], -x[1])
+
+
+def _sparse_rows(nrows, terms):
+    """The sparse rows of the sum of the terms (row, column, monomial,
+    coefficient); terms landing on one entry, at a kink, add up, and
+    what cancels is dropped."""
+    rows = [{} for _ in range(nrows)]
+    for r, c, mono, v in terms:
+        entry = rows[r].setdefault(c, {})
+        entry[mono] = entry.get(mono, 0) + v
+    out = []
+    for row in rows:
+        row = {c: {x: v for x, v in e.items() if v} for c, e in row.items()}
+        out.append({c: e for c, e in row.items() if e})
+    return out
+
+
+def _unit_reduce(rows, mul, inv):
+    """Eliminate unit pivots from a square sparse matrix M.
+
+    An entry is a unit when it is one monomial with coefficient +-1.  Each
+    step takes the unit u = M[r][c] with the fewest fill-ins,
+    (row entries - 1) * (column entries - 1) (Markowitz), the first found
+    among equals, drops row r and column c, and replaces every other
+    entry by M[r'][c'] - M[r'][c] u^-1 M[r][c'], in that order.  It stops
+    when no unit is left or one row is, so the result is never 0 x 0.
+    Returns (pivots, S), S the Schur complement as sparse rows, its rows
+    and columns in their order in M; rows is not changed.
+
+    Over a commutative ring det M = +-prod u_k det S, and the Study
+    determinant of M is prod N(u_k) times that of S: both change by a
+    unit.  Every block minor of S is, up to a unit, a block minor of M
+    that keeps the pivots, so the gcd of M's block minors divides that of
+    S's; it can be smaller, so only a gcd of 1 carries over.
+    """
+    rows = dict(enumerate(map(dict, rows)))
+    ncols = len(rows)
+    cols = {}  # column -> the rows with an entry there
+    for r, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    gone = set()
+    while len(rows) > 1:
+        best = None
+        for r, row in rows.items():
+            for c, e in row.items():
+                if len(e) == 1:
+                    ((x, v),) = e.items()
+                    if v == 1 or v == -1:
+                        cost = (len(row) - 1) * (len(cols[c]) - 1)
+                        if best is None or cost < best[0]:
+                            best = (cost, r, c, x, v)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _cost, r, c, x, v = best
+        prow = rows.pop(r)
+        del prow[c]
+        for c2 in prow:
+            cols[c2].discard(r)
+        below = cols.pop(c)
+        below.discard(r)
+        gone.add(c)
+        sign, uinv = inv(x)
+        sign *= v  # u^-1 = v * inv(x), as v = +-1
+        for r2 in below:
+            row2 = rows[r2]
+            f = {}  # M[r2][c] u^-1
+            for y, w in row2.pop(c).items():
+                s, z = mul(y, uinv)
+                f[z] = s * sign * w
+            for c2, b in prow.items():
+                e = dict(row2.get(c2, ()))
+                for y, w in f.items():
+                    for z, w2 in b.items():
+                        s, yz = mul(y, z)
+                        t = e.get(yz, 0) - s * w * w2
+                        if t:
+                            e[yz] = t
+                        else:
+                            del e[yz]
+                if e:
+                    row2[c2] = e
+                    cols[c2].add(r2)
+                elif c2 in row2:
+                    del row2[c2]
+                    cols[c2].discard(r2)
+    renumber = {c: k for k, c in enumerate(c for c in range(ncols) if c not in gone)}
+    S = [{renumber[c]: e for c, e in rows[r].items()} for r in sorted(rows)]
+    return ncols - len(S), S
+
+
 # --- generalized Alexander polynomial --------------------------------------
 #
 # One generator per diagram edge; each crossing contributes two relations.
@@ -210,8 +339,26 @@ def jones_t_form(f):
 # is taken up to units +/- s^i t^j.
 
 
-def _sp2(terms):
-    return LaurentPoly2(terms)
+def _alexander_rows(code, es):
+    """The Alexander relation matrix as sparse rows, one pair per crossing
+    in the code's label order; entries are {(a, b): coefficient} dicts
+    for the monomials s^a t^b."""
+    terms = []
+    for k, label in enumerate(code.labels):
+        o_in, o_out, u_in, u_out = es.crossing_edges[label]
+        eps = 1 if es.signs[label] > 0 else -1
+        r1, r2 = 2 * k, 2 * k + 1
+        terms += [
+            # c - t^eps a - (1 - s^eps t^eps) b = 0
+            (r1, u_out, (0, 0), 1),
+            (r1, u_in, (0, eps), -1),
+            (r1, o_in, (0, 0), -1),
+            (r1, o_in, (eps, eps), 1),
+            # d - s^eps b = 0
+            (r2, o_out, (0, 0), 1),
+            (r2, o_in, (eps, 0), -1),
+        ]
+    return _sparse_rows(2 * code.n_crossings, terms)
 
 
 def alexander_matrix(code):
@@ -219,23 +366,22 @@ def alexander_matrix(code):
     then one zero column per crossing-free circle component."""
     es = edge_structure(code)
     ncols = len(es.edges) + es.free_circles
-    rows = []
-    one = {(0, 0): 1}
-    for label in code.labels:
-        o_in, o_out, u_in, u_out = es.crossing_edges[label]
-        eps = 1 if es.signs[label] > 0 else -1
-        # c - t^eps a - (1 - s^eps t^eps) b = 0
-        row1 = [LaurentPoly2({}) for _ in range(ncols)]
-        row1[u_out] = row1[u_out] + _sp2(one)
-        row1[u_in] = row1[u_in] - _sp2({(0, eps): 1})
-        row1[o_in] = row1[o_in] - _sp2({(0, 0): 1, (eps, eps): -1})
-        # d - s^eps b = 0
-        row2 = [LaurentPoly2({}) for _ in range(ncols)]
-        row2[o_out] = row2[o_out] + _sp2(one)
-        row2[o_in] = row2[o_in] - _sp2({(eps, 0): 1})
-        rows.append(row1)
-        rows.append(row2)
-    return rows
+    rows = _alexander_rows(code, es)
+    return [[LaurentPoly2(row.get(c)) for c in range(ncols)] for row in rows]
+
+
+def _alexander_det(rows):
+    """The determinant, up to a unit +-s^a t^b, of a square matrix over
+    Z[s^+/-, t^+/-] given as sparse rows: reduced by unit pivots first
+    (see _unit_reduce), then read off a 1-row or 2-row rest or taken by
+    det_laurent2."""
+    _pivots, S = _unit_reduce(rows, _lmono_mul, _lmono_inv)
+    S = [[LaurentPoly2(row.get(c)) for c in range(len(S))] for row in S]
+    if len(S) == 1:
+        return S[0][0]
+    if len(S) == 2:
+        return S[0][0] * S[1][1] - S[0][1] * S[1][0]
+    return det_laurent2(S)
 
 
 def gen_alexander(code):
@@ -245,13 +391,10 @@ def gen_alexander(code):
     relation-free generator, so the zeroth elementary ideal (hence the
     result) is 0 whenever one is present alongside anything else.
     """
-    free = edge_structure(code).free_circles
-    if free and (code.n_crossings or free > 1):
-        return LaurentPoly2({})
-    if not code.n_crossings:
-        return LaurentPoly2({})  # bare unknot: free rank-1 module
-    m = alexander_matrix(code)
-    return normalize_unit(det_laurent2(m))
+    es = edge_structure(code)
+    if es.free_circles or not code.n_crossings:
+        return LaurentPoly2({})  # a free circle, or the bare unknot
+    return normalize_unit(_alexander_det(_alexander_rows(code, es)))
 
 
 # --- quaternionic biquandle invariant ---------------------------------------
@@ -265,19 +408,10 @@ def gen_alexander(code):
 # determinants of its codimension-1 minors, each defined up to units.
 
 
-def _q(w=0, x=0, y=0, z=0, tpow=0):
-    return Quaternion(
-        LaurentPoly({tpow: w} if w else {}),
-        LaurentPoly({tpow: x} if x else {}),
-        LaurentPoly({tpow: y} if y else {}),
-        LaurentPoly({tpow: z} if z else {}),
-    )
-
-
-def _quaternionic_terms(es):
-    """(row, column, w, x, y, z, tpow) for each term
-    (w + x i + y j + z k) t^tpow of the quaternionic relation matrix, one
-    pair of rows per crossing, in label order."""
+def _quaternionic_rows(es):
+    """The quaternionic relation matrix without its free-circle columns,
+    as sparse rows, one pair per crossing in label order; entries are
+    {(tpow, basis): coefficient} dicts, basis 0..3 for 1, i, j, k."""
     terms = []
     for k, label in enumerate(sorted(es.crossing_edges)):
         o_in, o_out, u_in, u_out = es.crossing_edges[label]
@@ -285,26 +419,35 @@ def _quaternionic_terms(es):
         r1, r2 = 2 * k, 2 * k + 1
         terms += [
             # c - (j t^eps) a - (1 + eps*i) b = 0
-            (r1, u_out, 1, 0, 0, 0, 0),
-            (r1, u_in, 0, 0, -1, 0, eps),
-            (r1, o_in, -1, -eps, 0, 0, 0),
+            (r1, u_out, (0, 0), 1),
+            (r1, u_in, (eps, 2), -1),
+            (r1, o_in, (0, 0), -1),
+            (r1, o_in, (0, 1), -eps),
             # d - (1 + eps*i) a + (j t^-eps) b = 0
-            (r2, o_out, 1, 0, 0, 0, 0),
-            (r2, u_in, -1, -eps, 0, 0, 0),
-            (r2, o_in, 0, 0, 1, 0, -eps),
+            (r2, o_out, (0, 0), 1),
+            (r2, u_in, (0, 0), -1),
+            (r2, u_in, (0, 1), -eps),
+            (r2, o_in, (-eps, 2), 1),
         ]
-    return terms
+    return _sparse_rows(len(es.edges), terms)
+
+
+def _quaternion_of(entry):
+    """The Quaternion of a sparse {(tpow, basis): coefficient} entry."""
+    parts = [{}, {}, {}, {}]
+    for (tpow, basis), v in entry.items():
+        parts[basis][tpow] = v
+    return Quaternion(*map(LaurentPoly, parts))
 
 
 def quaternionic_matrix(code):
     """Quaternionic relation matrix; zero columns for free circles."""
     es = edge_structure(code)
     ncols = len(es.edges) + es.free_circles
-    zero = _q()
-    rows = [[zero] * ncols for _ in range(2 * code.n_crossings)]
-    for r, c, w, x, y, z, tpow in _quaternionic_terms(es):
-        rows[r][c] = rows[r][c] + _q(w, x, y, z, tpow)
-    return rows
+    return [
+        [_quaternion_of(row.get(c, {})) for c in range(ncols)]
+        for row in _quaternionic_rows(es)
+    ]
 
 
 def doubled_setup(code):
@@ -312,22 +455,40 @@ def doubled_setup(code):
     relation matrix without its free-circle columns, built from the
     relation terms without quaternion objects (terms landing on one
     entry, at a kink, add up)."""
-    es = edge_structure(code)
-    return quaternion_setup(len(es.edges), _quaternionic_terms(es))
+    return _setup_of(_quaternionic_rows(edge_structure(code)))
+
+
+def _qmat_rows(qmat):
+    """The sparse rows of a square matrix of Quaternions."""
+    m = len(qmat)
+    if any(len(row) != m for row in qmat):
+        raise ValueError(f"quaternionic matrix is not square: {m} rows")
+    terms = [
+        (r, c, (tpow, basis), v)
+        for r, row in enumerate(qmat)
+        for c, q in enumerate(row)
+        for basis, part in enumerate((q.w, q.x, q.y, q.z))
+        for tpow, v in part.terms.items()
+    ]
+    return _sparse_rows(m, terms)
+
+
+def _setup_of(rows):
+    """The determinant engine's QuaternionSetup of a square quaternionic
+    matrix given as sparse rows."""
+    terms = []
+    for r, row in enumerate(rows):
+        for c, entry in row.items():
+            for (tpow, basis), v in entry.items():
+                parts = [0, 0, 0, 0]
+                parts[basis] = v
+                terms.append((r, c, *parts, tpow))
+    return quaternion_setup(len(rows), terms)
 
 
 def _qmat_setup(qmat):
     """The QuaternionSetup of a square quaternionic matrix."""
-    m = len(qmat)
-    if any(len(row) != m for row in qmat):
-        raise ValueError(f"quaternionic matrix is not square: {m} rows")
-    terms = []
-    for r, row in enumerate(qmat):
-        for c, q in enumerate(row):
-            parts = (q.w.terms, q.x.terms, q.y.terms, q.z.terms)
-            for e in set().union(*parts):
-                terms.append((r, c, *(t.get(e, 0) for t in parts), e))
-    return quaternion_setup(m, terms)
+    return _setup_of(_qmat_rows(qmat))
 
 
 def study_determinant(qmat):
@@ -362,13 +523,54 @@ def codim1_gcd(qmat):
 
     All m^2 minors come from one determinant-engine call, which eliminates
     each evaluated matrix once for all of them.  The gcd folds the
-    diagonal minors first: once it is 1 the rest cannot change it.
+    diagonal minors first: once it is 1 the rest cannot change it.  The
+    matrix is not reduced first: this is the reference path.
     """
     m = len(qmat)
     if m == 0:
         return LaurentPoly.const(1)
     dets = det_gaussian_submatrices(_qmat_setup(qmat), block_selections(m)[1:])
     return _fold_study_gcd(LaurentPoly({}), dets)
+
+
+def _reduced_study(S):
+    """Study determinant of a reduced matrix S: the norm of its one entry,
+    or one engine call that asks for the full selection only."""
+    if len(S) == 1:
+        return _quaternion_of(S[0].get(0, {})).norm()
+    (det,) = det_gaussian_submatrices(_setup_of(S), block_selections(len(S))[:1])
+    return det
+
+
+def _quaternionic_pair(rows):
+    """(normalized Study determinant, codimension-1 gcd) of a square
+    quaternionic matrix given as sparse rows.
+
+    The matrix is reduced by unit pivots first (see _unit_reduce), which
+    changes its Study determinant by a unit only.  The block minors of a
+    reduced S of 2 rows are the norms of its entries, a 1-row S after a
+    pivot has gcd 1 (its one minor is empty), and a larger S takes one
+    engine call for its determinant and every block minor.  A gcd of 1
+    from S is the matrix's own; any other, after at least one pivot, is
+    taken again from the matrix's m^2 block minors in one engine call.
+    """
+    pivots, S = _unit_reduce(rows, _qmono_mul, _qmono_inv)
+    k = len(S)
+    one = LaurentPoly.const(1)
+    if k >= 3:
+        dets = det_gaussian_submatrices(_setup_of(S), block_selections(k))
+        det, gcd = dets[0], _fold_study_gcd(LaurentPoly({}), dets[1:])
+    else:
+        det, gcd = _reduced_study(S), one
+        if k == 2:  # diagonal minors first, as in block_selections
+            minors = ((1, 1), (0, 0), (1, 0), (0, 1))
+            norms = (_quaternion_of(S[r].get(c, {})).norm() for r, c in minors)
+            gcd = _fold_study_gcd(LaurentPoly({}), norms)
+    if pivots and gcd != one:
+        m = len(rows)
+        dets = det_gaussian_submatrices(_setup_of(rows), block_selections(m)[1:])
+        gcd = _fold_study_gcd(LaurentPoly({}), dets)
+    return normalize_leadpos(study_determinant(det)), gcd
 
 
 def quaternionic_invariant(code):
@@ -378,10 +580,12 @@ def quaternionic_invariant(code):
     coefficient, the precision to which they are move-invariant.  A free
     circle component contributes a relation-free generator: the Study
     determinant is then 0, and the gcd drops to the next elementary ideal
-    (0 as soon as two such generators exist).
+    (0 as soon as two such generators exist), the Study determinant of
+    the square matrix left without the zero column.
 
-    The doubling's determinant and all its block-deleted minors come from
-    one engine call on one coefficient-array build.
+    The relation matrix is built from its terms without quaternion
+    objects and reduced by unit pivots before any engine call (see
+    _quaternionic_pair).
     """
     es = edge_structure(code)
     free = es.free_circles
@@ -390,16 +594,12 @@ def quaternionic_invariant(code):
     if not es.edges:
         # no relations: a free module of rank free <= 1
         return (LaurentPoly({}), LaurentPoly.const(1))
-    setup = quaternion_setup(len(es.edges), _quaternionic_terms(es))
-    selections = block_selections(len(setup.shifts))
+    rows = _quaternionic_rows(es)
     if free:
-        # one free circle next to crossings: E_0 = 0; E_1 = the square
-        # determinant left after deleting the zero column.
-        (det,) = det_gaussian_submatrices(setup, selections[:1])
-        return (LaurentPoly({}), normalize_leadpos(study_determinant(det)))
-    dets = det_gaussian_submatrices(setup, selections)
-    sd = normalize_leadpos(study_determinant(dets[0]))
-    return (sd, _fold_study_gcd(LaurentPoly({}), dets[1:]))
+        # E_0 = 0; E_1 is a Study determinant, which the reduction keeps
+        _pivots, S = _unit_reduce(rows, _qmono_mul, _qmono_inv)
+        return (LaurentPoly({}), normalize_leadpos(study_determinant(_reduced_study(S))))
+    return _quaternionic_pair(rows)
 
 
 # --- atom profile -----------------------------------------------------------

@@ -902,6 +902,51 @@ def test_engine_matches_general_engine_and_bareiss(big):
     assert 0 < nonzero < len(cases)
 
 
+def test_full_selection_alone_reads_det_off_one_lu(monkeypatch):
+    """Asked for the full selection alone, det_gaussian_submatrices takes
+    det A from _chunked_det of each evaluated stack, with no Gauss-Jordan
+    pass, and returns dets[0] of the call that asks for every block
+    selection.  A doubling has even rank over Q(i)(t), so the setups are
+    of rank N, N - 2 and N - 4; the constant entry root + i, whose norm
+    root^2 + 1 is 0 mod the first prime, makes the evaluated matrices of
+    rank N - 1 (and two of them N - 2) at every point of that prime."""
+    rng = random.Random(7700)
+    p, root = _primes(1)[0]
+    bad = Quaternion.const(root, 1)
+    cases = []
+    for m in (1, 2, 3, 4):
+        cases.append([[rand_quaternion(rng) for _ in range(m)] for _ in range(m)])
+        cases += [_quaternion_matrix_of_rank(rng, m, rank) for rank in range(m)]
+        for k in range(1, min(m, 2) + 1):
+            qmat = [[rand_quaternion(rng) for _ in range(m)] for _ in range(m)]
+            for d in range(k):
+                qmat[d] = [Quaternion()] * m
+                qmat[d][d] = bad
+            cases.append(qmat)
+    nonzero, coranks = 0, set()
+    for qmat in cases:
+        setup = _qmat_setup(qmat)
+        sels = block_selections(len(qmat))
+        ts = range(1, 2 * sum(setup.degs) + 2)
+        stack = _evaluate_doubling(setup.coeffs, root, ts, p)
+        coranks |= set((2 * len(qmat) - _gauss_jordan_mod(stack, p)[1]).tolist())
+        (det,), sizes = _stack_sizes(
+            monkeypatch, det_gaussian_submatrices, setup, sels[:1], name="_chunked_det"
+        )
+        assert bool(sizes) == all(setup.weights), qmat  # a zero row needs no LU
+        with monkeypatch.context() as mp:
+            mp.setattr(fastdet, "_block_minors_mod", None)
+            assert det_gaussian_submatrices(setup, sels[:1]) == [det]
+        assert det == det_gaussian_submatrices(setup, sels)[0], qmat
+        nonzero += not det.is_zero()
+    assert 0 < nonzero < len(cases) and {0, 1, 2} <= coranks
+    # and mod p alone, on random stacks of rank N, N - 1 and N - 2
+    for n in (2, 4, 6):
+        stack = np.array([_matrix_of_rank(rng, n, rank, p)
+                          for rank in range(n - 2, n + 1) for _ in range(3)])
+        assert np.array_equal(fastdet._chunked_det(stack, p), _block_minors_mod(stack, p)[0])
+
+
 def test_engine_on_kishino():
     """Kishino's knot: Study determinant 0, codim-1 gcd 2 + 5t^2 + 2t^4,
     from one engine call on doubled_setup, as from the general engine."""

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import time
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from vknots.budget import BudgetError
 from vknots.catalog import builtin_entries
 from vknots.coloring import count_biquandle_colorings, count_iq_colorings
 import gaussian_engine as oracle
-from vknots.fastdet import block_selections
+from vknots.fastdet import block_selections, det_laurent2
 from vknots.gausscode import (
     canonicalize,
     edge_structure,
@@ -53,7 +54,7 @@ from vknots.laurent import (
 )
 from vknots.matrix import det_bareiss, minor_matrix
 from vknots.report import FLAG_NAMES, invariant_report, parse_structure
-from vknots.quaternion import GaussianLaurent, double_matrix
+from vknots.quaternion import GaussianLaurent, Quaternion, double_matrix
 
 from conftest import (
     catalog_and_walk_codes,
@@ -62,6 +63,7 @@ from conftest import (
     random_link_text,
     small_codes,
 )
+from test_algebra import rand_lpoly2, rand_quaternion
 
 TREFOIL = "O1+U2+O3+U1+O2+U3+"
 FIG8 = "O1+U2-O3-U1+O4+U3-O2-U4+"
@@ -624,24 +626,174 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
         calls.clear()
         assert codim1_gcd(qmat) == _sweep_codim1_gcd(qmat), code
         assert [len(sels) for sels in calls] == [len(qmat) ** 2], code
-    # quaternionic_invariant: one call for the Study determinant and every
-    # minor, the full selection first, one coefficient-array build from the
-    # relation terms, and no other engine or build work
-    m = len(quaternionic_matrix(parse_gauss(KISHINO)))
-    others = {"det_gaussian_many": 0, "_qmat_setup": 0, "quaternionic_matrix": 0,
-              "quaternion_setup": 0}
+    # quaternionic_invariant reduces the relation matrix by unit pivots
+    # first and builds a coefficient array only for an engine call.
+    # Kishino: 8 rows reduce to 3 whose block-minor gcd is not 1, so one
+    # call on the reduced matrix for its Study determinant and every block
+    # minor, the full selection first, then one fallback call for the 8^2
+    # block minors of the full matrix.  The virtual trefoil: 4 rows reduce
+    # to 2 with gcd 1, so one full-only call and no full-matrix array.
+    others = {"det_gaussian_many": [], "_qmat_setup": [], "quaternionic_matrix": [],
+              "quaternion_setup": []}
     for name in others:
         def other(*args, _name=name, _real=getattr(invariants, name)):
-            others[_name] += 1
+            others[_name].append(args[0])
             return _real(*args)
 
         monkeypatch.setattr(invariants, name, other)
-    calls.clear()
-    study, gcd = quaternionic_invariant(parse_gauss(KISHINO))
-    assert (study.render(), gcd.render()) == ("0", "2 + 5*t^2 + 2*t^4")
-    assert [len(sels) for sels in calls] == [m**2 + 1]
-    assert calls[0][0] == (tuple(range(2 * m)), tuple(range(2 * m)))
-    assert others == dict(dict.fromkeys(others, 0), quaternion_setup=1)
+    for text, study_want, gcd_want, m, k, gcd_from_full in (
+        (KISHINO, "0", "2 + 5*t^2 + 2*t^4", 8, 3, True),
+        (VTREF, "4 + 8*t^2 + 4*t^4", "1", 4, 2, False),
+    ):
+        calls.clear()
+        for args in others.values():
+            args.clear()
+        study, gcd = quaternionic_invariant(parse_gauss(text))
+        assert (study.render(), gcd.render()) == (study_want, gcd_want)
+        full = (tuple(range(2 * k)), tuple(range(2 * k)))
+        if k >= 3:
+            assert calls[0] == block_selections(k) and calls[0][0] == full
+        else:
+            assert calls[0] == [full]
+        if gcd_from_full:
+            assert calls[1:] == [block_selections(m)[1:]]
+        else:
+            assert calls[1:] == []
+        sizes = [k, m] if gcd_from_full else [k]
+        assert others == dict({n: [] for n in others}, quaternion_setup=sizes)
+
+
+# --- unit-pivot reduction -------------------------------------------------------
+
+
+def _reduce_quaternionic(rows):
+    return invariants._unit_reduce(rows, invariants._qmono_mul, invariants._qmono_inv)
+
+
+def test_a_reduced_gcd_other_than_one_is_taken_again_from_the_matrix():
+    """The block minors of a Schur complement S at a unit pivot are block
+    minors of M up to units, so gcd_M divides gcd_S; but gcd_S can be
+    larger.  Here both have Study determinant 9, codim1_gcd(M) is 1 and
+    the complement at the unit M[0][0] has codim1_gcd 3, so a reduced
+    gcd other than 1 must send the gcd back to the full matrix."""
+    q = Quaternion.const
+    M = [[q(1), q(1), q(0, 0, 1)],
+         [q(0, 1), q(-1, 0, 0, -1), q(0, 1, 1)],
+         [q(), q(0, 1, -1, 1), q()]]
+    rows = invariants._qmat_rows(M)
+    pivots, S = _reduce_quaternionic(rows)
+    assert pivots == 1 and len(S) == 2  # the pivot was M[0][0]; S has no unit
+    reduced = [[invariants._quaternion_of(row.get(c, {})) for c in range(2)] for row in S]
+    assert reduced[0][0] == q(-1, -1, 0, -1)  # (-1 - k) - i 1^-1 1
+    nine, one = LaurentPoly.const(9), LaurentPoly.const(1)
+    assert normalize_leadpos(study_determinant(reduced)) == nine
+    assert codim1_gcd(reduced) == LaurentPoly.const(3)
+    assert codim1_gcd(M) == one
+    assert invariants._quaternionic_pair(rows) == (nine, one)
+    assert normalize_leadpos(study_determinant(M)) == nine
+
+
+def _random_entry(rng):
+    """Zero, a unit (+-1, +-i, +-j, +-k times a power of t), +-2 times
+    one, or a random quaternion, about equally often."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Quaternion()
+    if kind == 3:
+        return rand_quaternion(rng)
+    parts = [LaurentPoly({})] * 4
+    parts[rng.randrange(4)] = LaurentPoly({rng.randint(-2, 2): rng.choice((-1, 1)) * kind})
+    return Quaternion(*parts)
+
+
+def test_quaternionic_pair_matches_the_oracles_on_random_matrices():
+    """On random quaternionic matrices full of non-central unit pivots
+    (so the side u^-1 is written on matters) and of +-2 monomials (which
+    are no pivots), the pair from the reduction is that of the full
+    matrix by study_determinant and codim1_gcd."""
+    rng = random.Random(4211)
+    seen = Counter()
+    for _ in range(80):
+        m = rng.randint(1, 4)
+        qmat = [[_random_entry(rng) for _ in range(m)] for _ in range(m)]
+        rows = invariants._qmat_rows(qmat)
+        want = (normalize_leadpos(study_determinant(qmat)), codim1_gcd(qmat))
+        assert invariants._quaternionic_pair(rows) == want, qmat
+        pivots, S = _reduce_quaternionic(rows)
+        seen["pivoted"] += pivots > 0
+        seen["non-unit gcd"] += want[1] != LaurentPoly.const(1)
+        seen["non-zero"] += not want[0].is_zero()
+    assert min(seen.values()) >= 5, seen
+
+
+def _random_alexander_entry(rng):
+    """Zero, a unit +-s^a t^b, +-2 times one, or a random polynomial."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        return rand_lpoly2(rng)
+    mono = (rng.randint(-2, 2), rng.randint(-2, 2))
+    return LaurentPoly2({mono: rng.choice((-1, 1)) * kind} if kind else {})
+
+
+def test_alexander_det_matches_det_laurent2_on_random_matrices():
+    rng = random.Random(4212)
+    pivoted = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        mat = [[_random_alexander_entry(rng) for _ in range(n)] for _ in range(n)]
+        rows = [{c: e.terms for c, e in enumerate(row) if e} for row in mat]
+        assert normalize_unit(invariants._alexander_det(rows)) == normalize_unit(
+            det_laurent2(mat)
+        ), mat
+        pivoted += invariants._unit_reduce(
+            rows, invariants._lmono_mul, invariants._lmono_inv
+        )[0] > 0
+    assert pivoted >= 20
+
+
+def _reduction_codes():
+    """Catalog and walk codes, random codes of up to 10 crossings, random
+    links of 2 and 3 components, kinks of both kinds (u_out = o_in when a
+    crossing's two passages are adjacent, u_out = u_in on a component
+    that is one under passage), codes with one free circle, and Kishino."""
+    rng = random.Random(4213)
+    texts = [random_code_text(rng, n) for n in range(1, 11) for _ in range(2)]
+    texts += [random_link_text(rng, n, k) for n in (2, 3, 5, 7) for k in (2, 3)]
+    texts += [_with_kinks(rng, random_code_text(rng, n), k)
+              for n, k in ((0, 1), (2, 1), (3, 2), (6, 2))]
+    texts += ["O1+/U1+", "O1-/U1-", TREFOIL + "O4-/U4-", VTREF + "/U3+O4-U4-/O3+",
+              TREFOIL + "/()", VTREF + "/()", KISHINO + "/()", "O1+U1+/()", KISHINO]
+    return catalog_and_walk_codes(5, 10, seed=4214) + [parse_gauss(t) for t in texts]
+
+
+def test_reduced_invariants_match_the_full_matrix_oracles():
+    """quaternionic_invariant and gen_alexander, which reduce the relation
+    matrix first, against the unreduced oracles: study_determinant and
+    codim1_gcd of quaternionic_matrix(code) and det_laurent2 of
+    alexander_matrix(code)."""
+    seen = Counter()
+    one = LaurentPoly.const(1)
+    for code in _reduction_codes():
+        es = edge_structure(code)
+        if not code.labels or es.free_circles > 1:
+            continue
+        ends = es.crossing_edges.values()
+        seen["u_out = o_in"] += any(u_out == o_in for o_in, _, _, u_out in ends)
+        seen["u_out = u_in"] += any(u_out == u_in for _, _, u_in, u_out in ends)
+        seen["links"] += len(code.components) > 1
+        seen["10 crossings"] += code.n_crossings == 10
+        qmat = quaternionic_matrix(code)
+        if es.free_circles:
+            square = [row[: len(es.edges)] for row in qmat]
+            want = (LaurentPoly({}), normalize_leadpos(study_determinant(square)))
+            seen["free circle"] += 1
+        else:
+            want = (normalize_leadpos(study_determinant(qmat)), codim1_gcd(qmat))
+            alexander = normalize_unit(det_laurent2(alexander_matrix(code)))
+            assert gen_alexander(code) == alexander, code
+            seen["gcd not 1"] += want[1] != one
+        assert quaternionic_invariant(code) == want, code
+    assert min(seen.values()) >= 2, seen
 
 
 def _fold_calls_without_skip(dets):
