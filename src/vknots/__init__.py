@@ -63,4 +63,4 @@ from .moves import (
 )
 from .quaternion import GaussianLaurent, Quaternion, double_matrix
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -126,26 +126,9 @@ def check_biquandle_axioms(bq):
 
     for a in rng:
         for b in rng:
-            first = [
-                (x, y)
-                for x in rng
-                for y in rng
-                if down[x][b] == a
-                and upbar[y][a] == b
-                and up[b][x] == y
-                and downbar[a][y] == x
-            ]
+            first, second = _axiom3_solutions(bq, a, b)
             if not first:
                 bad.append(f"axiom 3: no (x, y) solution at a={a}, b={b}")
-            second = [
-                (z, t)
-                for z in rng
-                for t in rng
-                if up[t][a] == b
-                and down[a][t] == z
-                and downbar[z][b] == a
-                and upbar[b][z] == t
-            ]
             if not second:
                 bad.append(f"axiom 3: no (z, t) solution at a={a}, b={b}")
 
@@ -192,34 +175,41 @@ def check_biquandle_axioms(bq):
     return bad
 
 
+def _axiom3_solutions(bq, a, b):
+    """The axiom-3 solutions at (a, b): the list of pairs (x, y) and the
+    list of pairs (z, t).  The axiom asks for both to be nonempty."""
+    rng = range(bq.n)
+    up, down, upbar, downbar = bq.up, bq.down, bq.upbar, bq.downbar
+    first = [
+        (x, y)
+        for x in rng
+        for y in rng
+        if down[x][b] == a
+        and upbar[y][a] == b
+        and up[b][x] == y
+        and downbar[a][y] == x
+    ]
+    second = [
+        (z, t)
+        for z in rng
+        for t in rng
+        if up[t][a] == b
+        and down[a][t] == z
+        and downbar[z][b] == a
+        and upbar[b][z] == t
+    ]
+    return first, second
+
+
 def is_strong_biquandle(bq):
     """True when the axiom-3 solutions (x, y) and (z, t) are unique."""
-    n = bq.n
-    rng = range(n)
-    up, down, upbar, downbar = bq.up, bq.down, bq.upbar, bq.downbar
-    for a in rng:
-        for b in rng:
-            first = sum(
-                1
-                for x in rng
-                for y in rng
-                if down[x][b] == a
-                and upbar[y][a] == b
-                and up[b][x] == y
-                and downbar[a][y] == x
-            )
-            second = sum(
-                1
-                for z in rng
-                for t in rng
-                if up[t][a] == b
-                and down[a][t] == z
-                and downbar[z][b] == a
-                and upbar[b][z] == t
-            )
-            if first != 1 or second != 1:
-                return False
-    return True
+    rng = range(bq.n)
+    return all(
+        len(solutions) == 1
+        for a in rng
+        for b in rng
+        for solutions in _axiom3_solutions(bq, a, b)
+    )
 
 
 def make_alexander_biquandle_modp(p, s, t):

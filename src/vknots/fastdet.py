@@ -1,20 +1,19 @@
-"""Exact determinants of Laurent-polynomial matrices via modular evaluation.
+"""Exact determinants of Laurent-polynomial matrices.
 
-The fraction-free Bareiss routine in :mod:`vknots.matrix` is the reference
-implementation, but its intermediate swell makes large relation matrices
-slow.  This module computes the same determinants exactly by a standard
-evaluation/interpolation scheme:
+A determinant over Z[s, s^-1, t, t^-1] (``det_laurent2``) is taken by the
+fraction-free Bareiss routine of :mod:`vknots.matrix`: the relation
+matrices it sees are small once reduced by unit pivots.  The quaternionic
+determinants are computed exactly by a standard evaluation/interpolation
+scheme:
 
 * shift each row by a monomial so all exponents are nonnegative (the
   determinant picks up a known monomial factor),
 * bound the degree (sum of per-row maxima) and the coefficients (below),
-* evaluate the matrix on a two-axis grid of points modulo several
-  primes, run batched division-free elimination in numpy, interpolate
-  the coefficients with a cached inverse Vandermonde matrix per axis,
-  and lift by the Chinese remainder theorem with symmetric
-  representatives (``_interpolate``, the one loop over primes).
-
-Over Z[s, t] (``det_laurent2``) the axes are s = 1..Ps and t = 1..Pt.
+* evaluate the matrix on a grid of points modulo several primes, run
+  batched division-free elimination in numpy, interpolate the
+  coefficients with a cached inverse Vandermonde matrix per axis, and
+  lift by the Chinese remainder theorem with symmetric representatives
+  (``_interpolate``, the one loop over primes).
 
 Quaternionic matrices.  An m x m matrix Q over H[t, t^-1] (quaternions
 w + x i + y j + z k with integer Laurent coefficients) is read as the
@@ -41,14 +40,13 @@ K sum_k |c_k|^2; the smaller of these two integers is the entry's weight
 |c|^2).  By Hadamard's inequality |det| <= prod_r (sum_j weight(e_rj))^(1/2)
 there, and each coefficient of det, a Fourier coefficient on the circle,
 obeys the same bound (Goldstein & Graham, "A Hadamard-type bound on the
-coefficients of a determinant of polynomials", SIAM Review 16, 1974); the
-torus |s| = |t| = 1 gives it for two variables.  Monomial row shifts keep
-|entry| on the circle and deleting columns only lowers row norms, so one
-bound from the rows serves every shifted matrix and every submatrix on
-those rows.  It is kept exact as isqrt(prod_r sum_j weight(e_rj)) + 1, and
-the primes are chosen so that their product exceeds twice it.  Row r of Q
-stands for two rows of A with the same shift, degree and weight
-sum_c weight(w + x i) + weight(y + z i), so for A it is prod_r weight_r + 1.
+coefficients of a determinant of polynomials", SIAM Review 16, 1974).
+Monomial row shifts keep |entry| on the circle and deleting columns only
+lowers row norms, so one bound from the rows serves every shifted matrix
+and every submatrix on those rows.  Row r of Q stands for two rows of A
+with the same shift, degree and weight sum_c weight(w + x i) +
+weight(y + z i), so the bound for A is kept exact as prod_r weight_r + 1,
+and the primes are chosen so that their product exceeds twice it.
 
 Block minors.  The quaternionic pair needs, for the N x N doubling
 (N = 2m), det A and the m^2 minors that delete one 2 x 2 block row r and
@@ -90,12 +88,13 @@ section 0.8).  No floating point is involved anywhere.
 
 from __future__ import annotations
 
-from math import isqrt, prod
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
 from .laurent import LaurentPoly, LaurentPoly2
+from .matrix import det_bareiss
 
 _PRIME_START = 15_000_000
 _prime_cache: list[tuple[int, int]] = []  # (p, sqrt(-1) mod p)
@@ -415,17 +414,6 @@ def _crt_symmetric(residues, primes):
     return np.where(x > M // 2, x - M, x)
 
 
-def _evaluate(coeffs, points, p):
-    """The matrix sum_{a,b} coeffs[:, :, a, b] x^a y^b mod p at every point
-    (x, y) of the grid points = (xs, ys), x major: a stack of shape
-    (len(xs) * len(ys), n, n).  coeffs has shape (n, n, D0 + 1, D1 + 1)."""
-    n = coeffs.shape[0]
-    c = (coeffs % p).astype(np.int64)
-    v = np.tensordot(c, _powers(points[1], c.shape[3] - 1, p), axes=([3], [1])) % p
-    v = np.tensordot(v, _powers(points[0], c.shape[2] - 1, p), axes=([2], [1])) % p
-    return v.transpose(3, 2, 0, 1).reshape(-1, n, n)
-
-
 def _interpolate(bound, grid, values):
     """Exact coefficients c[a, b, s] of S polynomials
     f_s = sum_{a,b} c[a, b, s] x^a y^b with |c| <= bound, from their values.
@@ -446,13 +434,6 @@ def _interpolate(bound, grid, values):
     return _crt_symmetric(res, [p for p, _ in primes])
 
 
-def _coefficient_bound(weights):
-    """Bound on every coefficient of a determinant whose rows have the
-    given weights (a row's weight is the sum of its entries' weights);
-    see the module docstring."""
-    return isqrt(prod(weights)) + 1
-
-
 class QuaternionSetup(NamedTuple):
     """An m x m matrix over H[t, t^-1] in the form the engine reads.
 
@@ -462,7 +443,7 @@ class QuaternionSetup(NamedTuple):
     Its dtype is int64, or object (Python ints) when a coefficient does
     not fit, so that every one reduces exactly mod p.  shifts, degs and
     weights are per-row lists of Python ints: the shift, the degree after
-    shifting and the weight (see _coefficient_bound) of each of the row's
+    shifting and the weight (see the module docstring) of each of the row's
     two rows in the doubling.  A zero row has shift 0, degree 0 and
     weight 0.
     """
@@ -609,54 +590,6 @@ def det_gaussian_submatrices(setup, selections):
 
 
 def det_laurent2(mat):
-    """Exact determinant of a matrix over Z[s, s^-1, t, t^-1].
-
-    Each row is read once: it is shifted by a monomial so its least s and
-    t exponents are 0, and its terms go straight into one coefficient
-    array (int64 when every coefficient fits), which _interpolate reads on
-    the axes s = 1..Ps and t = 1..Pt.
-    """
-    n = len(mat)
-    if n == 0:
-        return LaurentPoly2.const(1)
-    sshift = tshift = Ds = Dt = eds = edt = 0
-    weights, terms = [], []
-    for r, row in enumerate(mat):
-        ents = [(c, e.terms) for c, e in enumerate(row) if e.terms]
-        if not ents:
-            return LaurentPoly2({})
-        ss = [a for _c, tbl in ents for a, _b in tbl]
-        ts = [b for _c, tbl in ents for _a, b in tbl]
-        vs, vt = min(ss), min(ts)
-        ds, dt = max(ss) - vs, max(ts) - vt
-        sshift += vs
-        tshift += vt
-        Ds += ds
-        Dt += dt
-        eds, edt = max(eds, ds), max(edt, dt)
-        w = 0
-        for c, tbl in ents:
-            l1 = 0
-            for (a, b), v in tbl.items():
-                terms.append((r, c, a - vs, b - vt, v))
-                l1 += abs(v)
-            w += l1 * l1
-        weights.append(w)
-    small = all(-(2**63) < t[4] < 2**63 for t in terms)
-    C = np.zeros((n, n, eds + 1, edt + 1), dtype=np.int64 if small else object)
-    rows, cols, ea, eb, vals = zip(*terms)
-    C[rows, cols, ea, eb] = vals
-    Ps, Pt = Ds + 1, Dt + 1
-    coef = _interpolate(
-        _coefficient_bound(weights),
-        lambda p, root: (range(1, Ps + 1), range(1, Pt + 1)),
-        lambda p, points: _batch_det_mod(_evaluate(C, points, p), p)[:, None],
-    )
-    return LaurentPoly2(
-        {
-            (a + sshift, b + tshift): int(coef[a, b, 0])
-            for a in range(Ps)
-            for b in range(Pt)
-            if coef[a, b, 0]
-        }
-    )
+    """Exact determinant of a matrix over Z[s, s^-1, t, t^-1], by
+    fraction-free elimination (matrix.det_bareiss)."""
+    return det_bareiss(mat, LaurentPoly2.const(1))

@@ -373,15 +373,9 @@ def alexander_matrix(code):
 def _alexander_det(rows):
     """The determinant, up to a unit +-s^a t^b, of a square matrix over
     Z[s^+/-, t^+/-] given as sparse rows: reduced by unit pivots first
-    (see _unit_reduce), then read off a 1-row or 2-row rest or taken by
-    det_laurent2."""
+    (see _unit_reduce), then the rest taken by det_laurent2."""
     _pivots, S = _unit_reduce(rows, _lmono_mul, _lmono_inv)
-    S = [[LaurentPoly2(row.get(c)) for c in range(len(S))] for row in S]
-    if len(S) == 1:
-        return S[0][0]
-    if len(S) == 2:
-        return S[0][0] * S[1][1] - S[0][1] * S[1][0]
-    return det_laurent2(S)
+    return det_laurent2([[LaurentPoly2(r.get(c)) for c in range(len(S))] for r in S])
 
 
 def gen_alexander(code):
@@ -448,14 +442,6 @@ def quaternionic_matrix(code):
         [_quaternion_of(row.get(c, {})) for c in range(ncols)]
         for row in _quaternionic_rows(es)
     ]
-
-
-def doubled_setup(code):
-    """The determinant engine's QuaternionSetup of the quaternionic
-    relation matrix without its free-circle columns, built from the
-    relation terms without quaternion objects (terms landing on one
-    entry, at a kink, add up)."""
-    return _setup_of(_quaternionic_rows(edge_structure(code)))
 
 
 def _qmat_rows(qmat):

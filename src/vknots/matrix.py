@@ -2,11 +2,11 @@
 
 Entries may be LaurentPoly, LaurentPoly2, GaussianLaurent, or plain int:
 anything supporting +, -, *, is_zero/bool and exact_div.  The Bareiss
-routine is fraction-free (every intermediate value stays in the ring); a
-straightforward cofactor expansion is kept as an independent cross-check.
-Both are reference code: the invariants take their determinants from
-:mod:`vknots.fastdet`, which the tests and the benchmark check against
-these.
+routine is fraction-free (every intermediate value stays in the ring); it
+backs ``fastdet.det_laurent2``, the generalized Alexander determinant, and
+is the reference the tests and the benchmark check the quaternionic
+engine of :mod:`vknots.fastdet` against.  A straightforward cofactor
+expansion is kept as the independent oracle for Bareiss itself.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ def det_bareiss(mat, one):
 
     ``one`` is the multiplicative identity of the entry ring; it seeds the
     running pivot.  Rows are swapped as needed (with the usual sign flip)
-    when a pivot vanishes.
+    when a pivot vanishes.  The first step would divide by ``one``, so
+    it skips the division.
     """
     n = len(mat)
     if n == 0:
@@ -50,9 +51,8 @@ def det_bareiss(mat, one):
                 return zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = _exact_div(
-                    m[k][k] * m[i][j] - m[i][k] * m[k][j], prev
-                )
+                x = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = _exact_div(x, prev) if k else x
             m[i][k] = m[k][k] - m[k][k]  # zero of the ring
         prev = m[k][k]
     d = m[n - 1][n - 1]

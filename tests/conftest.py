@@ -70,6 +70,16 @@ def catalog_and_walk_codes(max_crossings, walks, seed, steps=3):
     return [c for c in codes if c.n_crossings <= max_crossings]
 
 
+def doubled_setup(code):
+    """The determinant engine's QuaternionSetup of the code's quaternionic
+    relation matrix without its free-circle columns, built from the
+    relation terms (terms landing on one entry, at a kink, add up)."""
+    from vknots.gausscode import edge_structure
+    from vknots.invariants import _quaternionic_rows, _setup_of
+
+    return _setup_of(_quaternionic_rows(edge_structure(code)))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240601)

@@ -10,6 +10,11 @@ block selection.  A matrix that ``_is_doubling`` recognises, with only
 block selections, takes the one point +sqrt(-1), as the doubling-only
 engine does.  Results are ``GaussianLaurent``.
 
+``_evaluate`` (a matrix on a two-axis grid of points) and
+``_coefficient_bound`` serve this engine only: ``vknots.fastdet``
+evaluates doublings with ``_evaluate_doubling`` and bounds them by
+prod_r weight_r + 1.
+
 ``doubled_setup_of`` lays out the GaussianSetup of the doubling from a
 ``vknots.fastdet.QuaternionSetup``: the reference for the block layout
 that the engine assembles at evaluation time.
@@ -17,6 +22,7 @@ that the engine assembles at evaluation time.
 
 from __future__ import annotations
 
+from math import isqrt, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -25,12 +31,29 @@ from vknots.fastdet import (
     _block_keep,
     _block_minors_mod,
     _chunked_det,
-    _coefficient_bound,
-    _evaluate,
     _interpolate,
+    _powers,
 )
 from vknots.laurent import LaurentPoly
 from vknots.quaternion import GaussianLaurent
+
+
+def _evaluate(coeffs, points, p):
+    """The matrix sum_{a,b} coeffs[:, :, a, b] x^a y^b mod p at every point
+    (x, y) of the grid points = (xs, ys), x major: a stack of shape
+    (len(xs) * len(ys), n, n).  coeffs has shape (n, n, D0 + 1, D1 + 1)."""
+    n = coeffs.shape[0]
+    c = (coeffs % p).astype(np.int64)
+    v = np.tensordot(c, _powers(points[1], c.shape[3] - 1, p), axes=([3], [1])) % p
+    v = np.tensordot(v, _powers(points[0], c.shape[2] - 1, p), axes=([2], [1])) % p
+    return v.transpose(3, 2, 0, 1).reshape(-1, n, n)
+
+
+def _coefficient_bound(weights):
+    """Bound on every coefficient of a determinant whose rows have the
+    given weights (a row's weight is the sum of its entries' weights);
+    see the docstring of vknots.fastdet."""
+    return isqrt(prod(weights)) + 1
 
 
 class GaussianSetup(NamedTuple):

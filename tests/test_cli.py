@@ -1,7 +1,10 @@
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
+import vknots
 from vknots.budget import BudgetError
 from vknots.cli import enumerate_single_component, main
 
@@ -10,6 +13,13 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib: the package supports Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, re.M)
+    assert vknots.__version__ == version
 
 
 # --- invariants -----------------------------------------------------------------

@@ -73,6 +73,16 @@ def test_alexander_biquandle_is_strong():
     assert is_strong_biquandle(make_alexander_biquandle_modp(5, 2, 3))
 
 
+def test_constant_tables_fail_axiom_3():
+    # every operation is 0, so x_b = 1 has no solution x at a = 1
+    zero = ((0, 0), (0, 0))
+    bq = FiniteBiquandle(2, zero, zero, zero, zero)
+    assert not is_strong_biquandle(bq)
+    violations = check_biquandle_axioms(bq)
+    assert "axiom 3: no (x, y) solution at a=1, b=0" in violations
+    assert "axiom 3: no (z, t) solution at a=1, b=1" in violations
+
+
 def test_table_range_enforced():
     with pytest.raises(ValueError):
         FiniteBiquandle(2, ((0, 2), (0, 1)), ((0, 0),) * 2, ((0, 0),) * 2,

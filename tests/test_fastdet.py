@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 import gaussian_engine as oracle
+from gaussian_engine import _coefficient_bound, _evaluate
 from vknots import fastdet
 from vknots.fastdet import (
     _batch_det_mod,
     _block_minors_mod,
-    _coefficient_bound,
     _corank2_factors,
-    _evaluate,
     _evaluate_doubling,
     _gauss_jordan_mod,
     _interpolate,
@@ -36,7 +35,6 @@ from vknots.gausscode import edge_structure, parse_gauss
 from vknots.invariants import (
     _qmat_setup,
     alexander_matrix,
-    doubled_setup,
     quaternionic_matrix,
 )
 from vknots.laurent import (
@@ -49,7 +47,7 @@ from vknots.laurent import (
 from vknots.matrix import det_bareiss, det_cofactor
 from vknots.quaternion import GaussianLaurent, Quaternion, double_matrix
 
-from conftest import catalog_and_walk_codes, random_code
+from conftest import catalog_and_walk_codes, doubled_setup, random_code
 from test_algebra import (
     G_ONE,
     L2_ONE,
@@ -137,12 +135,14 @@ def test_evaluate_then_interpolate_round_trip(big):
 
 
 def test_det_laurent2_matches_bareiss_on_alexander_matrices():
+    """det_laurent2 is det_bareiss, so the full relation matrices are
+    checked against the independent cofactor expansion."""
     square = nonzero = 0
     for code in catalog_and_walk_codes(6, 40, seed=92):
         if not code.n_crossings or edge_structure(code).free_circles:
             continue  # the relation matrix is not square
         m = alexander_matrix(code)
-        want = normalize_unit(det_bareiss(m, LaurentPoly2.const(1)))
+        want = normalize_unit(det_cofactor(m))
         assert normalize_unit(det_laurent2(m)) == want, code
         square += 1
         nonzero += bool(want.terms)

@@ -34,7 +34,6 @@ from vknots.invariants import (
     bracket,
     bracket_congruence,
     codim1_gcd,
-    doubled_setup,
     exponent_congruence,
     f_polynomial,
     gen_alexander,
@@ -58,6 +57,7 @@ from vknots.quaternion import GaussianLaurent, Quaternion, double_matrix
 
 from conftest import (
     catalog_and_walk_codes,
+    doubled_setup,
     random_code,
     random_code_text,
     random_link_text,
