@@ -28,7 +28,6 @@ assertions, not the drawing, are the source of truth here.
 
 from dataclasses import dataclass, field
 
-from .fastdet import det_laurent2
 from .gausscode import (
     GaussCodeError,
     inter_component_parity,
@@ -126,11 +125,17 @@ def _iq_count_equals(n, expected):
 
 def _first_minors(mat):
     """(i, j, det) for every first minor of a square matrix over
-    Z[s, s^-1, t, t^-1], the one without row i and column j."""
-    for i in range(len(mat)):
-        rows = mat[:i] + mat[i + 1 :]
-        for j in range(len(mat)):
-            yield i, j, det_laurent2([row[:j] + row[j + 1 :] for row in rows])
+    Z[s, s^-1, t, t^-1], the one without row i and column j, its det up
+    to a unit +-s^a t^b: each minor is reduced by unit pivots before its
+    determinant is taken (invariants._alexander_det)."""
+    from .invariants import _alexander_det
+
+    rows = [{c: e.terms for c, e in enumerate(row) if e} for row in mat]
+    for i in range(len(rows)):
+        rest = rows[:i] + rows[i + 1 :]
+        for j in range(len(rows)):
+            minor = [{c - (c > j): e for c, e in row.items() if c != j} for row in rest]
+            yield i, j, _alexander_det(minor)
 
 
 def _module_relation_nontrivial(code):

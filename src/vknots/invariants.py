@@ -262,8 +262,12 @@ def _unit_reduce(rows, mul, inv):
     among equals, drops row r and column c, and replaces every other
     entry by M[r'][c'] - M[r'][c] u^-1 M[r][c'], in that order.  It stops
     when no unit is left or one row is, so the result is never 0 x 0.
-    Returns (pivots, S), S the Schur complement as sparse rows, its rows
-    and columns in their order in M; rows is not changed.
+    Returns (steps, S), S the Schur complement as sparse rows, its rows
+    and columns in their order in M, and steps one record
+    (r, c, u^-1, pivot row, f column) per pivot in order: u^-1 as a
+    one-term entry, the pivot row {c': M[r][c']} without column c, and
+    the f column {r': M[r'][c] u^-1}, both as M stood at that step.
+    rows is not changed.
 
     Over a commutative ring det M = +-prod u_k det S, and the Study
     determinant of M is prod N(u_k) times that of S: both change by a
@@ -277,7 +281,7 @@ def _unit_reduce(rows, mul, inv):
     for r, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    gone = set()
+    steps = []
     while len(rows) > 1:
         best = None
         for r, row in rows.items():
@@ -299,12 +303,13 @@ def _unit_reduce(rows, mul, inv):
             cols[c2].discard(r)
         below = cols.pop(c)
         below.discard(r)
-        gone.add(c)
         sign, uinv = inv(x)
         sign *= v  # u^-1 = v * inv(x), as v = +-1
+        fcol = {}
+        steps.append((r, c, {uinv: sign}, prow, fcol))
         for r2 in below:
             row2 = rows[r2]
-            f = {}  # M[r2][c] u^-1
+            f = fcol[r2] = {}  # M[r2][c] u^-1
             for y, w in row2.pop(c).items():
                 s, z = mul(y, uinv)
                 f[z] = s * sign * w
@@ -324,9 +329,16 @@ def _unit_reduce(rows, mul, inv):
                 elif c2 in row2:
                     del row2[c2]
                     cols[c2].discard(r2)
-    renumber = {c: k for k, c in enumerate(c for c in range(ncols) if c not in gone)}
+    renumber = {c: k for k, c in enumerate(_kept(steps, ncols, 1))}
     S = [{renumber[c]: e for c, e in rows[r].items()} for r in sorted(rows)]
-    return ncols - len(S), S
+    return steps, S
+
+
+def _kept(steps, m, side):
+    """The rows (side 0) or columns (side 1) of an m x m matrix that its
+    reduction steps left, in order."""
+    gone = {step[side] for step in steps}
+    return [i for i in range(m) if i not in gone]
 
 
 # --- generalized Alexander polynomial --------------------------------------
@@ -374,7 +386,7 @@ def _alexander_det(rows):
     """The determinant, up to a unit +-s^a t^b, of a square matrix over
     Z[s^+/-, t^+/-] given as sparse rows: reduced by unit pivots first
     (see _unit_reduce), then the rest taken by det_laurent2."""
-    _pivots, S = _unit_reduce(rows, _lmono_mul, _lmono_inv)
+    _steps, S = _unit_reduce(rows, _lmono_mul, _lmono_inv)
     return det_laurent2([[LaurentPoly2(r.get(c)) for c in range(len(S))] for r in S])
 
 
@@ -528,6 +540,72 @@ def _reduced_study(S):
     return det
 
 
+def _qaddmul(acc, a, b):
+    """acc + a b for sparse quaternion entries; acc is updated in place."""
+    for x, v in a.items():
+        for y, w in b.items():
+            s, z = _qmono_mul(x, y)
+            t = acc.get(z, 0) + s * v * w
+            if t:
+                acc[z] = t
+            else:
+                acc.pop(z, None)
+    return acc
+
+
+def _kernel_vectors(steps, S):
+    """(x, v, N(a)): x M = 0 and M v = 0 for the matrix M that steps
+    reduce to S (see _unit_reduce), S 2 x 2 of rank 1, as {index: entry}.
+
+    Rank 1 means d = c a^-1 b for a = S[i][j] != 0, b = S[i][j'] and
+    c = S[i'][j], so (-a-bar b, N(a)) on columns (j, j') and
+    (-c a-bar, N(a)) on rows (i, i') are S's kernel vectors.  The steps,
+    in reverse, lift them to M by v_c = -u^-1 sum prow[c'] v_c' and
+    x_r = -sum x_r' f_r'.
+    """
+    i, j = next((r, c) for r in range(2) for c in S[r])
+    a = S[i][j]
+    b, c = S[i].get(1 - j, {}), S[1 - i].get(j, {})
+    minus_abar = {y: (w if y[1] else -w) for y, w in a.items()}
+    na = {y: -w for y, w in _qaddmul({}, a, minus_abar).items()}  # N(a), real
+    m = len(steps) + 2
+    rows, cols = _kept(steps, m, 0), _kept(steps, m, 1)
+    x = {rows[i]: _qaddmul({}, c, minus_abar), rows[1 - i]: na}
+    v = {cols[j]: _qaddmul({}, minus_abar, b), cols[1 - j]: na}
+    for r, col, uinv, prow, fcol in reversed(steps):
+        acc = {}
+        for c2, e in prow.items():
+            _qaddmul(acc, e, v[c2])
+        v[col] = _qaddmul({}, {y: -w for y, w in uinv.items()}, acc)
+        acc = {}
+        for r2, f in fcol.items():
+            _qaddmul(acc, x[r2], f)
+        x[r] = {y: -w for y, w in acc.items()}
+    return x, v, _quaternion_of(na).w
+
+
+def _rank_one_gcd(steps, S):
+    """The codimension-1 gcd of the matrix M that steps reduce to S (see
+    _unit_reduce), for S 2 x 2, nonzero, with Study determinant 0.
+
+    M then has rank m - 1 over the quaternions, so its doubling has rank
+    2m - 2 and its (2m - 2)-minors factor as in Jacobi's complementary
+    minor identity: the block minor without row r and column c is
+    lambda N(x_r) N(v_c), for the kernel vectors x M = 0 and M v = 0 of
+    _kernel_vectors (their doublings span both kernels of the doubling).
+    The block minor at (i', j') keeps every pivot, so it is N(a) up to a
+    unit, and x_i' = v_j' = N(a) make lambda 1 / N(a)^3 up to a unit.
+    By Gauss's lemma the gcd over (r, c) of N(x_r) N(v_c) is
+    gcd_r N(x_r) gcd_c N(v_c), so no minor is taken.
+    """
+    x, v, na = _kernel_vectors(steps, S)
+    gx, gv = (
+        _fold_study_gcd(LaurentPoly({}), (_quaternion_of(e).norm() for e in vec.values()))
+        for vec in (x, v)
+    )
+    return normalize_leadpos((gx * gv).exact_div(na ** 3))
+
+
 def _quaternionic_pair(rows):
     """(normalized Study determinant, codimension-1 gcd) of a square
     quaternionic matrix given as sparse rows.
@@ -537,10 +615,12 @@ def _quaternionic_pair(rows):
     reduced S of 2 rows are the norms of its entries, a 1-row S after a
     pivot has gcd 1 (its one minor is empty), and a larger S takes one
     engine call for its determinant and every block minor.  A gcd of 1
-    from S is the matrix's own; any other, after at least one pivot, is
-    taken again from the matrix's m^2 block minors in one engine call.
+    from S is the matrix's own.  Any other, after at least one pivot, is
+    read off the kernel vectors when S has 2 rows and Study determinant
+    0 (see _rank_one_gcd; 0 when S = 0), and otherwise taken again from
+    the matrix's m^2 block minors in one engine call.
     """
-    pivots, S = _unit_reduce(rows, _qmono_mul, _qmono_inv)
+    steps, S = _unit_reduce(rows, _qmono_mul, _qmono_inv)
     k = len(S)
     one = LaurentPoly.const(1)
     if k >= 3:
@@ -552,10 +632,13 @@ def _quaternionic_pair(rows):
             minors = ((1, 1), (0, 0), (1, 0), (0, 1))
             norms = (_quaternion_of(S[r].get(c, {})).norm() for r, c in minors)
             gcd = _fold_study_gcd(LaurentPoly({}), norms)
-    if pivots and gcd != one:
-        m = len(rows)
-        dets = det_gaussian_submatrices(_setup_of(rows), block_selections(m)[1:])
-        gcd = _fold_study_gcd(LaurentPoly({}), dets)
+    if steps and gcd != one:
+        if k == 2 and det.is_zero():
+            gcd = _rank_one_gcd(steps, S) if any(S) else LaurentPoly({})
+        else:
+            m = len(rows)
+            dets = det_gaussian_submatrices(_setup_of(rows), block_selections(m)[1:])
+            gcd = _fold_study_gcd(LaurentPoly({}), dets)
     return normalize_leadpos(study_determinant(det)), gcd
 
 
@@ -583,7 +666,7 @@ def quaternionic_invariant(code):
     rows = _quaternionic_rows(es)
     if free:
         # E_0 = 0; E_1 is a Study determinant, which the reduction keeps
-        _pivots, S = _unit_reduce(rows, _qmono_mul, _qmono_inv)
+        _steps, S = _unit_reduce(rows, _qmono_mul, _qmono_inv)
         return (LaurentPoly({}), normalize_leadpos(study_determinant(_reduced_study(S))))
     return _quaternionic_pair(rows)
 

@@ -10,6 +10,7 @@ from vknots.gausscode import (
     validate_code,
 )
 from vknots.invariants import alexander_matrix
+from vknots.laurent import normalize_unit
 from vknots.matrix import det_cofactor, minor_matrix
 
 from conftest import random_code
@@ -92,15 +93,16 @@ def test_load_catalog_invalid_code_names_its_location(tmp_path):
 
 
 def _cofactor_first_minors(mat):
-    """Every first minor by cofactor expansion, the rule _first_minors
-    replaced."""
+    """Every first minor by cofactor expansion, up to a unit, the rule
+    _first_minors replaced."""
     n = len(mat)
-    return [(i, j, det_cofactor(minor_matrix(mat, [i], [j])))
+    return [(i, j, normalize_unit(det_cofactor(minor_matrix(mat, [i], [j]))))
             for i in range(n) for j in range(n)]
 
 
 def test_first_minors_match_cofactor():
-    """The catalog's first minors (det_laurent2) against cofactor
+    """The catalog's first minors (unit-pivot reduction, then
+    det_laurent2), which are determinants up to a unit, against cofactor
     expansion, on knot K's Alexander matrix, Alexander matrices of random
     small knots and random 2-4 square matrices over Z[s^+-1, t^+-1]."""
     rng = random.Random(4400)
@@ -113,7 +115,7 @@ def test_first_minors_match_cofactor():
         mats.append([[rand_lpoly2(rng) for _ in range(n)] for _ in range(n)])
     nonzero = 0
     for mat in mats:
-        got = list(_first_minors(mat))
+        got = [(i, j, normalize_unit(d)) for i, j, d in _first_minors(mat)]
         assert got == _cofactor_first_minors(mat), mat
         nonzero += sum(not d.is_zero() for _i, _j, d in got)
     assert nonzero

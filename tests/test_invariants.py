@@ -52,6 +52,7 @@ from vknots.laurent import (
     poly_gcd,
 )
 from vknots.matrix import det_bareiss, minor_matrix
+from vknots.moves import random_walk
 from vknots.report import FLAG_NAMES, invariant_report, parse_structure
 from vknots.quaternion import GaussianLaurent, Quaternion, double_matrix
 
@@ -633,6 +634,9 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
     # minor, the full selection first, then one fallback call for the 8^2
     # block minors of the full matrix.  The virtual trefoil: 4 rows reduce
     # to 2 with gcd 1, so one full-only call and no full-matrix array.
+    # The trefoil: 6 rows reduce to 2 with Study determinant 0 and gcd 9,
+    # read off the kernel vectors: one full-only call and no array of the
+    # 6 rows.
     others = {"det_gaussian_many": [], "_qmat_setup": [], "quaternionic_matrix": [],
               "quaternion_setup": []}
     for name in others:
@@ -644,6 +648,7 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
     for text, study_want, gcd_want, m, k, gcd_from_full in (
         (KISHINO, "0", "2 + 5*t^2 + 2*t^4", 8, 3, True),
         (VTREF, "4 + 8*t^2 + 4*t^4", "1", 4, 2, False),
+        (TREFOIL, "0", "9", 6, 2, False),
     ):
         calls.clear()
         for args in others.values():
@@ -681,8 +686,8 @@ def test_a_reduced_gcd_other_than_one_is_taken_again_from_the_matrix():
          [q(0, 1), q(-1, 0, 0, -1), q(0, 1, 1)],
          [q(), q(0, 1, -1, 1), q()]]
     rows = invariants._qmat_rows(M)
-    pivots, S = _reduce_quaternionic(rows)
-    assert pivots == 1 and len(S) == 2  # the pivot was M[0][0]; S has no unit
+    steps, S = _reduce_quaternionic(rows)
+    assert len(steps) == 1 and len(S) == 2  # the pivot was M[0][0]; S has no unit
     reduced = [[invariants._quaternion_of(row.get(c, {})) for c in range(2)] for row in S]
     assert reduced[0][0] == q(-1, -1, 0, -1)  # (-1 - k) - i 1^-1 1
     nine, one = LaurentPoly.const(9), LaurentPoly.const(1)
@@ -719,11 +724,110 @@ def test_quaternionic_pair_matches_the_oracles_on_random_matrices():
         rows = invariants._qmat_rows(qmat)
         want = (normalize_leadpos(study_determinant(qmat)), codim1_gcd(qmat))
         assert invariants._quaternionic_pair(rows) == want, qmat
-        pivots, S = _reduce_quaternionic(rows)
-        seen["pivoted"] += pivots > 0
+        steps, S = _reduce_quaternionic(rows)
+        seen["pivoted"] += len(steps) > 0
         seen["non-unit gcd"] += want[1] != LaurentPoly.const(1)
         seen["non-zero"] += not want[0].is_zero()
     assert min(seen.values()) >= 5, seen
+
+
+def _quaternions(S):
+    """The Quaternion matrix of a reduced S given as sparse rows."""
+    return [[invariants._quaternion_of(row.get(c, {})) for c in range(len(S))] for row in S]
+
+
+def _closed_form_rest(steps, S):
+    """Whether _quaternionic_pair reads the gcd off the kernel vectors:
+    at least one pivot, a nonzero 2-row rest of Study determinant 0 and
+    a rest gcd other than 1."""
+    if not (steps and len(S) == 2 and any(S)):
+        return False
+    rest = _quaternions(S)
+    return study_determinant(rest).is_zero() and codim1_gcd(rest) != LaurentPoly.const(1)
+
+
+def _check_kernel_vectors(qmat, steps, S):
+    """x M = 0 and M v = 0 for the lifted kernel vectors of M = qmat."""
+    x, v, _norm = invariants._kernel_vectors(steps, S)
+    m = len(qmat)
+    xs = [invariants._quaternion_of(x[r]) for r in range(m)]
+    vs = [invariants._quaternion_of(v[c]) for c in range(m)]
+    zero = Quaternion()
+    for k in range(m):
+        assert sum((xs[r] * qmat[r][k] for r in range(m)), zero) == zero, (qmat, k)
+        assert sum((qmat[k][c] * vs[c] for c in range(m)), zero) == zero, (qmat, k)
+
+
+def _singular_matrices(rng, count):
+    """Random 3-5 row quaternionic matrices (entries by _random_entry) in
+    which one row, put at a random place, is a left combination p A + q B
+    of two others, p and q by _random_entry too."""
+    mats = []
+    for _ in range(count):
+        m = rng.randint(3, 5)
+        qmat = [[_random_entry(rng) for _ in range(m)] for _ in range(m - 1)]
+        a, b = rng.sample(range(m - 1), 2)
+        p, q = _random_entry(rng), _random_entry(rng)
+        qmat.insert(rng.randrange(m), [p * x + q * y for x, y in zip(qmat[a], qmat[b])])
+        mats.append(qmat)
+    return mats
+
+
+def test_rank_one_rest_gcd_matches_codim1_gcd_on_singular_matrices():
+    """On singular matrices whose reduction leaves a nonzero 2-row rest,
+    the lifted vectors are kernel vectors of the matrix and the gcd read
+    off them is codim1_gcd of the matrix, including where that is not the
+    rest's own gcd.  The pinned matrix has all entries units and third
+    row A + j B: one pivot leaves a rest with gcd 1 + t^2, while the
+    matrix's gcd is 1."""
+
+    def unit(e, w=0, x=0, y=0, z=0):  # (w + x i + y j + z k) t^e
+        return Quaternion(*(LaurentPoly({e: v}) for v in (w, x, y, z)))
+
+    A = [unit(1, w=-1), unit(0, y=-1), unit(0, z=1)]
+    B = [unit(1, w=1), unit(1, z=1), unit(-1, y=1)]
+    pinned = [A, B, [a + unit(0, y=1) * b for a, b in zip(A, B)]]
+    seen = Counter()
+    for qmat in [pinned] + _singular_matrices(random.Random(4215), 200):
+        rows = invariants._qmat_rows(qmat)
+        want = codim1_gcd(qmat)
+        assert invariants._quaternionic_pair(rows) == (LaurentPoly({}), want), qmat
+        steps, S = _reduce_quaternionic(rows)
+        if _closed_form_rest(steps, S):
+            _check_kernel_vectors(qmat, steps, S)
+            assert invariants._rank_one_gcd(steps, S) == want, qmat
+            seen["closed form"] += 1
+            seen["gcd_M != gcd_S"] += codim1_gcd(_quaternions(S)) != want
+    steps, S = _reduce_quaternionic(invariants._qmat_rows(pinned))
+    assert len(steps) == 1 and codim1_gcd(_quaternions(S)) == LaurentPoly({0: 1, 2: 1})
+    assert codim1_gcd(pinned) == LaurentPoly.const(1)
+    assert seen["closed form"] >= 20 and seen["gcd_M != gcd_S"] >= 1, seen
+
+
+def test_rank_one_rests_of_torus_and_walk_codes():
+    """T(2, 7), T(2, 9) and codes on move walks from the trefoil and the
+    Hopf link against codim1_gcd of the full relation matrix; most of
+    them reduce to a 2-row rest of Study determinant 0, whose lifted
+    vectors are checked to be kernel vectors of the matrix."""
+    codes = [parse_gauss(_torus_2_code(n)) for n in (7, 9)]
+    for text in (TREFOIL, HOPF):
+        for seed in range(6):
+            codes += random_walk(parse_gauss(text), 4, seed=seed, max_crossings=5)
+    closed = 0
+    for code in codes:
+        es = edge_structure(code)
+        if es.free_circles:
+            continue
+        qmat = quaternionic_matrix(code)
+        want = (normalize_leadpos(study_determinant(qmat)), codim1_gcd(qmat))
+        assert quaternionic_invariant(code) == want, code
+        steps, S = _reduce_quaternionic(invariants._quaternionic_rows(es))
+        if _closed_form_rest(steps, S):
+            _check_kernel_vectors(qmat, steps, S)
+            closed += 1
+    assert quaternionic_invariant(codes[0])[1] == LaurentPoly.const(49)
+    assert quaternionic_invariant(codes[1])[1] == LaurentPoly.const(81)
+    assert closed >= len(codes) // 2, (closed, len(codes))
 
 
 def _random_alexander_entry(rng):
@@ -745,9 +849,9 @@ def test_alexander_det_matches_det_laurent2_on_random_matrices():
         assert normalize_unit(invariants._alexander_det(rows)) == normalize_unit(
             det_laurent2(mat)
         ), mat
-        pivoted += invariants._unit_reduce(
+        pivoted += len(invariants._unit_reduce(
             rows, invariants._lmono_mul, invariants._lmono_inv
-        )[0] > 0
+        )[0]) > 0
     assert pivoted >= 20
 
 
