@@ -78,12 +78,38 @@ rule is picked by the rank of the evaluated matrix A over F_p:
 * rank < N-2: det A and every minor are 0;
 * rank N-1: det A = 0 and the minors are eliminated one by one.
 
-A list that asks for det A alone skips all of this: det A is read off
-one division-free LU of each evaluated matrix (``_chunked_det``).
-
 Each rule is an identity over F_p, so every value is exact whatever the
 generic rank of the polynomial matrix (Horn & Johnson, *Matrix Analysis*,
 section 0.8).  No floating point is involved anywhere.
+
+The Study determinant alone.  A list that asks for det A alone skips all
+of this, and numpy too (``_study_kronecker``).  With the rows shifted,
+put t = 2^B with 2^(B-1) > L = prod_r weight_r + 1, the bound above, and
+evaluate each entry's four components as Python ints.  t -> 2^B is a
+ring map, so det A(2^B) = (det A)(2^B).  That is taken by fraction-free
+elimination over Z[i] in the two-step form of Bareiss ("Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math.
+Comp. 22, 1968), one 2 x 2 block of the doubling per step.  By
+Sylvester's identity the values after k steps are the minors of A(2^B)
+on its first 2k rows and columns and one row and one column more; they
+make up d_k times the doubling of the Schur complement R of Q's leading
+k x k block, d_k the (real) Study determinant of that block.  The next
+pivot block is the doubling of p = R_kk: its determinant is
+N(p) = p conj(p) and its adjugate the doubling of conj(p).  Since the
+doubling is a ring map, the two-step rule reads on quaternions
+
+    R'_ij = (N(p) R_ij - R_ik conj(p) R_kj) / d_k^2,   d_{k+1} = N(p) / d_k,
+
+every division exact, and d_m = det A(2^B).  Swapping two rows of Q
+swaps two pairs of rows of A, so no sign arises, and a column of Q with
+no pivot left means det A(2^B) = 0.  Every coefficient of det A is below
+2^(B-1) in absolute value, so they are the digits of det A(2^B) in
+balanced base 2^B (Kronecker substitution; von zur Gathen & Gerhard,
+*Modern Computer Algebra*, 3rd ed. 2013, section 8.4), and a nonzero
+polynomial with such coefficients has every root below 2^(B-1) in
+absolute value (Cauchy's bound), so det A(2^B) = 0 only when det A = 0.
+A remainder in a division or a digit past degree D raises
+ArithmeticError: neither can happen.
 """
 
 from __future__ import annotations
@@ -457,42 +483,40 @@ class QuaternionSetup(NamedTuple):
 def quaternion_setup(m, terms):
     """The QuaternionSetup of the m x m matrix over H[t, t^-1] that is the
     sum of the given terms (row, col, w, x, y, z, e), each the entry
-    (w + x i + y j + z k) t^e.  Terms at one place add up, and shifts,
-    degrees and weights are read from the sums.
+    (w + x i + y j + z k) t^e.  Terms at one place add up in Python ints,
+    and shifts, degrees and weights are read from the sums; coeffs is
+    int64 when every sum fits, and object otherwise.
     """
-    T = np.array(terms)
-    if T.dtype != np.int64:  # a coefficient past int64, or no terms at all
-        T = np.array(terms, dtype=object).reshape(-1, 7)
-    rows, cols, exps = (T[:, k].astype(np.int64) for k in (0, 1, 6))
-    vals = T[:, 2:6]
-    lim = max(-int(vals.min(initial=0)), int(vals.max(initial=0)))
-    e0, e1 = (int(exps.min()), int(exps.max())) if len(T) else (0, 0)
-    E = e1 - e0 + 1
-    # with lim * len(T) < 2^63 no sum of coefficients can leave int64
-    small = lim * len(T) < 2**63
-    acc = np.zeros((m, m, 4, E), dtype=np.int64 if small else object)
-    np.add.at(acc, (rows, cols, slice(None), exps - e0), vals.astype(acc.dtype))
-    if not small and np.abs(acc).max() < 2**63:
-        acc = acc.astype(np.int64)
-    support = (acc != 0).any(axis=(1, 2))  # (m, E): the exponents of each row
-    live = support.any(axis=1)
-    lo = support.argmax(axis=1)
-    hi = np.where(live, E - 1 - support[:, ::-1].argmax(axis=1), lo)
-    degs = hi - lo
-    coeffs = np.zeros((m, m, 4, int(degs.max(initial=0)) + 1), dtype=acc.dtype)
-    for r in range(m):
-        coeffs[r, :, :, : degs[r] + 1] = acc[r, :, :, lo[r] : hi[r] + 1]
-    # the complex pairs (w + x i, y + z i) of every entry; an entry's l1^2
-    # and K * sum |c|^2 are at most E * (4 lim len(T))^2, so where that
-    # leaves int64 they are taken in Python ints
-    z = acc if E * (4 * lim * len(T)) ** 2 < 2**63 else acc.astype(object)
-    z = z.reshape(m, m, 2, 2, E)
-    l1 = np.abs(z).sum(axis=(3, 4))
-    sq = (z * z).sum(axis=(3, 4))
-    K = (z != 0).any(axis=3).sum(axis=3)
-    weights = np.minimum(l1 * l1, K * sq).sum(axis=(1, 2))
-    shifts = np.where(live, lo + e0, 0)
-    return QuaternionSetup(coeffs, shifts.tolist(), degs.tolist(), weights.tolist())
+    acc = {}  # (row, col, component, exponent) -> coefficient
+    for r, c, *parts, e in terms:
+        for k, v in enumerate(parts):
+            if v:
+                key = (r, c, k, e)
+                acc[key] = acc.get(key, 0) + v
+    acc = {key: v for key, v in acc.items() if v}
+    lo, hi = {}, {}
+    pairs = {}  # (row, col, w + x i or y + z i) -> [l1, sum of squares, exponents]
+    for (r, c, k, e), v in acc.items():
+        lo[r] = min(lo.get(r, e), e)
+        hi[r] = max(hi.get(r, e), e)
+        pair = pairs.setdefault((r, c, k // 2), [0, 0, set()])
+        pair[0] += abs(v)
+        pair[1] += v * v
+        pair[2].add(e)
+    shifts = [lo.get(r, 0) for r in range(m)]
+    degs = [hi.get(r, 0) - shifts[r] for r in range(m)]
+    weights = [0] * m
+    for (r, _c, _k), (l1, sq, exps) in pairs.items():
+        weights[r] += min(l1 * l1, len(exps) * sq)
+    small = all(-(2**63) < v < 2**63 for v in acc.values())
+    coeffs = np.zeros((m, m, 4, max(degs, default=0) + 1),
+                      dtype=np.int64 if small else object)
+    if acc:
+        rows, cols, comps, exps = zip(*acc)
+        coeffs[rows, cols, comps, [e - shifts[r] for r, e in zip(rows, exps)]] = list(
+            acc.values()
+        )
+    return QuaternionSetup(coeffs, shifts, degs, weights)
 
 
 def _evaluate_doubling(coeffs, root, ts, p):
@@ -514,6 +538,79 @@ def _poly(coeffs, shift):
     return LaurentPoly({d + shift: c for d, c in enumerate(coeffs) if c})
 
 
+def _qmul(p, q):
+    """The product of quaternions given as (w, x, y, z) tuples of ints."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def _study_bareiss(q):
+    """The Study determinant of a square matrix of integer quaternions
+    (w, x, y, z), by Bareiss's two-step elimination on its doubling, one
+    2 x 2 block at a time (see the module docstring); q is overwritten."""
+    m = len(q)
+    d = 1  # the Study determinant of the leading k x k block
+    for k in range(m):
+        src = next((i for i in range(k, m) if any(q[i][k])), None)
+        if src is None:
+            return 0
+        q[k], q[src] = q[src], q[k]  # two row swaps of the doubling
+        prow = q[k]
+        w, x, y, z = prow[k]
+        conj, norm, dd = (w, -x, -y, -z), w * w + x * x + y * y + z * z, d * d
+        for row in q[k + 1 :]:
+            f = _qmul(row[k], conj)
+            for j in range(k + 1, m):
+                g0, g1, g2, g3 = _qmul(f, prow[j])
+                e0, e1, e2, e3 = row[j]
+                q0, r0 = divmod(norm * e0 - g0, dd)
+                q1, r1 = divmod(norm * e1 - g1, dd)
+                q2, r2 = divmod(norm * e2 - g2, dd)
+                q3, r3 = divmod(norm * e3 - g3, dd)
+                if r0 or r1 or r2 or r3:
+                    raise ArithmeticError("inexact Bareiss division")
+                row[j] = (q0, q1, q2, q3)
+        d, r = divmod(norm, d)
+        if r:
+            raise ArithmeticError("inexact Bareiss division")
+    return d
+
+
+def _study_kronecker(setup):
+    """det A, the Study determinant of a QuaternionSetup with no zero row,
+    without numpy: the matrix evaluated at t = 2^B, its Study determinant
+    by _study_bareiss, and the coefficients read back in balanced base
+    2^B (see the module docstring)."""
+    coeffs, shifts, degs, weights = setup
+    B = (prod(weights) + 1).bit_length() + 1  # 2^(B-1) > prod(weights) + 1
+
+    def at(cs):  # sum_d cs[d] 2^(B d)
+        v = 0
+        for c in reversed(cs):
+            v = (v << B) + c
+        return v
+
+    value = _study_bareiss(
+        [[tuple(map(at, entry)) for entry in row] for row in coeffs.tolist()]
+    )
+    half, mask, out = 1 << (B - 1), (1 << B) - 1, {}
+    shift = 2 * sum(shifts)
+    for d in range(2 * sum(degs) + 1):
+        c = ((value + half) & mask) - half
+        if c:
+            out[d + shift] = c
+        value = (value - c) >> B
+    if value:
+        raise ArithmeticError("Study determinant past its degree bound")
+    return LaurentPoly(out)
+
+
 def block_selections(m):
     """The selections (rows, cols) of the 2m x 2m doubling that
     det_gaussian_submatrices reads off one elimination: the full one, then
@@ -529,7 +626,9 @@ def block_selections(m):
 
 def det_gaussian_many(setups):
     """Exact determinants of the complex doublings of many quaternionic
-    matrices, given as QuaternionSetups: one LaurentPoly each."""
+    matrices, given as QuaternionSetups: one LaurentPoly each, each a
+    full-only det_gaussian_submatrices call (Kronecker substitution and
+    Bareiss over Z[i], without numpy)."""
     out = []
     for setup in setups:
         everything = tuple(range(2 * len(setup.shifts)))
@@ -546,15 +645,22 @@ def det_gaussian_submatrices(setup, selections):
     full selection or one deleting one block row and one block column (see
     block_selections); any other raises ValueError.  Returns one
     LaurentPoly per selection, all read off one Gauss-Jordan elimination
-    per evaluation point (see the module docstring); when the full
-    selection is the only one, det A is read off one LU instead.
+    per evaluation point (see the module docstring).  When every
+    selection is the full one, det A is taken by Kronecker substitution
+    and Bareiss over Z[i] instead, without numpy (_study_kronecker).
     """
     coeffs, shifts, degs, weights = setup
     m = len(shifts)
     if m == 0:
         return [LaurentPoly.const(1) for _ in selections]
+    everything = tuple(range(2 * m))
+    if selections and all(
+        tuple(rows) == everything == tuple(cols) for rows, cols in selections
+    ):
+        det = _study_kronecker(setup) if all(weights) else LaurentPoly({})
+        return [det] * len(selections)
     block_of = {tuple(k): r for r, k in enumerate(_block_keep(m).tolist())}
-    block_of[tuple(range(2 * m))] = m  # the full selection
+    block_of[everything] = m  # the full selection
     blocks = []
     for rows, cols in selections:
         rc = (block_of.get(tuple(rows)), block_of.get(tuple(cols)))
@@ -575,10 +681,7 @@ def det_gaussian_submatrices(setup, selections):
 
     def values(p, points):
         (root,), ts = points
-        a = _evaluate_doubling(coeffs, root, ts, p)
-        if set(rs) == {m}:  # the full selection only: det A off one LU
-            return np.repeat(_chunked_det(a, p)[:, None], len(rs), axis=1)
-        det, minors = _block_minors_mod(a, p)
+        det, minors = _block_minors_mod(_evaluate_doubling(coeffs, root, ts, p), p)
         table = np.pad(minors, ((0, 0), (0, 1), (0, 1)))
         table[:, m, m] = det
         return table[:, rs, cs]

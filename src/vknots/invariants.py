@@ -446,6 +446,22 @@ def _quaternion_of(entry):
     return Quaternion(*map(LaurentPoly, parts))
 
 
+def _entry_norm(entry):
+    """N(q) = w^2 + x^2 + y^2 + z^2 of a sparse {(tpow, basis):
+    coefficient} entry: each basis part's terms squared into one
+    LaurentPoly, with no Quaternion built."""
+    parts = [[], [], [], []]
+    for (tpow, basis), v in entry.items():
+        parts[basis].append((tpow, v))
+    acc = {}
+    for part in parts:
+        for k, (e, v) in enumerate(part):
+            acc[2 * e] = acc.get(2 * e, 0) + v * v
+            for e2, v2 in part[k + 1 :]:
+                acc[e + e2] = acc.get(e + e2, 0) + 2 * v * v2
+    return LaurentPoly(acc)
+
+
 def quaternionic_matrix(code):
     """Quaternionic relation matrix; zero columns for free circles."""
     es = edge_structure(code)
@@ -535,7 +551,7 @@ def _reduced_study(S):
     """Study determinant of a reduced matrix S: the norm of its one entry,
     or one engine call that asks for the full selection only."""
     if len(S) == 1:
-        return _quaternion_of(S[0].get(0, {})).norm()
+        return _entry_norm(S[0].get(0, {}))
     (det,) = det_gaussian_submatrices(_setup_of(S), block_selections(len(S))[:1])
     return det
 
@@ -600,7 +616,7 @@ def _rank_one_gcd(steps, S):
     """
     x, v, na = _kernel_vectors(steps, S)
     gx, gv = (
-        _fold_study_gcd(LaurentPoly({}), (_quaternion_of(e).norm() for e in vec.values()))
+        _fold_study_gcd(LaurentPoly({}), map(_entry_norm, vec.values()))
         for vec in (x, v)
     )
     return normalize_leadpos((gx * gv).exact_div(na ** 3))
@@ -630,7 +646,7 @@ def _quaternionic_pair(rows):
         det, gcd = _reduced_study(S), one
         if k == 2:  # diagonal minors first, as in block_selections
             minors = ((1, 1), (0, 0), (1, 0), (0, 1))
-            norms = (_quaternion_of(S[r].get(c, {})).norm() for r, c in minors)
+            norms = (_entry_norm(S[r].get(c, {})) for r, c in minors)
             gcd = _fold_study_gcd(LaurentPoly({}), norms)
     if steps and gcd != one:
         if k == 2 and det.is_zero():

@@ -18,6 +18,11 @@ prod_r weight_r + 1.
 ``doubled_setup_of`` lays out the GaussianSetup of the doubling from a
 ``vknots.fastdet.QuaternionSetup``: the reference for the block layout
 that the engine assembles at evaluation time.
+
+``numpy_quaternion_setup`` is the numpy build of a QuaternionSetup
+(``np.add.at`` on index arrays, with int64-overflow guards) that
+``vknots.fastdet.quaternion_setup`` had before it summed terms in Python
+ints: the oracle for that rewrite.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from vknots.fastdet import (
+    QuaternionSetup,
     _block_keep,
     _block_minors_mod,
     _chunked_det,
@@ -307,3 +313,44 @@ def doubled_setup_of(qsetup):
                 coeffs[dr::2, dc::2, part] = blocks[dr][dc][part]
     return GaussianSetup(coeffs, *([v for v in vals for _ in (0, 1)]
                                    for vals in qsetup[1:]))
+
+
+def numpy_quaternion_setup(m, terms):
+    """The QuaternionSetup of the m x m matrix over H[t, t^-1] that is the
+    sum of the given terms (row, col, w, x, y, z, e), each the entry
+    (w + x i + y j + z k) t^e, built with numpy: terms at one place add
+    up, and shifts, degrees and weights are read from the sums.
+    """
+    T = np.array(terms)
+    if T.dtype != np.int64:  # a coefficient past int64, or no terms at all
+        T = np.array(terms, dtype=object).reshape(-1, 7)
+    rows, cols, exps = (T[:, k].astype(np.int64) for k in (0, 1, 6))
+    vals = T[:, 2:6]
+    lim = max(-int(vals.min(initial=0)), int(vals.max(initial=0)))
+    e0, e1 = (int(exps.min()), int(exps.max())) if len(T) else (0, 0)
+    E = e1 - e0 + 1
+    # with lim * len(T) < 2^63 no sum of coefficients can leave int64
+    small = lim * len(T) < 2**63
+    acc = np.zeros((m, m, 4, E), dtype=np.int64 if small else object)
+    np.add.at(acc, (rows, cols, slice(None), exps - e0), vals.astype(acc.dtype))
+    if not small and np.abs(acc).max() < 2**63:
+        acc = acc.astype(np.int64)
+    support = (acc != 0).any(axis=(1, 2))  # (m, E): the exponents of each row
+    live = support.any(axis=1)
+    lo = support.argmax(axis=1)
+    hi = np.where(live, E - 1 - support[:, ::-1].argmax(axis=1), lo)
+    degs = hi - lo
+    coeffs = np.zeros((m, m, 4, int(degs.max(initial=0)) + 1), dtype=acc.dtype)
+    for r in range(m):
+        coeffs[r, :, :, : degs[r] + 1] = acc[r, :, :, lo[r] : hi[r] + 1]
+    # the complex pairs (w + x i, y + z i) of every entry; an entry's l1^2
+    # and K * sum |c|^2 are at most E * (4 lim len(T))^2, so where that
+    # leaves int64 they are taken in Python ints
+    z = acc if E * (4 * lim * len(T)) ** 2 < 2**63 else acc.astype(object)
+    z = z.reshape(m, m, 2, 2, E)
+    l1 = np.abs(z).sum(axis=(3, 4))
+    sq = (z * z).sum(axis=(3, 4))
+    K = (z != 0).any(axis=3).sum(axis=3)
+    weights = np.minimum(l1 * l1, K * sq).sum(axis=(1, 2))
+    shifts = np.where(live, lo + e0, 0)
+    return QuaternionSetup(coeffs, shifts.tolist(), degs.tolist(), weights.tolist())

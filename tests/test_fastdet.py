@@ -31,6 +31,7 @@ from vknots.fastdet import (
     det_laurent2,
     quaternion_setup,
 )
+from vknots import invariants
 from vknots.gausscode import edge_structure, parse_gauss
 from vknots.invariants import (
     _qmat_setup,
@@ -48,6 +49,11 @@ from vknots.matrix import det_bareiss, det_cofactor
 from vknots.quaternion import GaussianLaurent, Quaternion, double_matrix
 
 from conftest import catalog_and_walk_codes, doubled_setup, random_code
+from test_invariants import (
+    _quaternionic_setup_codes,
+    rank_one_counterexample,
+    reduced_gcd_counterexample,
+)
 from test_algebra import (
     G_ONE,
     L2_ONE,
@@ -618,6 +624,7 @@ def test_doubled_setups_take_the_one_point_axis(monkeypatch, doublings):
         assert dbl.one_point == dbl.two_point, code
         assert fast == _real(dbl.one_point), code
         assert fast[0] == dbl.det.re and dbl.det.im.is_zero(), code
+        assert det_gaussian_many([setup]) == fast[:1], code  # Kronecker, full-only
         if code.n_crossings <= 3:
             # one block minor per code, in turn, against Bareiss too
             rows, cols = sels[1 + k % (len(sels) - 1)]
@@ -851,6 +858,55 @@ def test_quaternion_setup_matches_the_general_setup(big):
     assert dtypes[np.dtype(object) if big else np.dtype(np.int64)] > 0
 
 
+def _same_setup(got, want):
+    return (got.coeffs.dtype == want.coeffs.dtype
+            and got.coeffs.shape == want.coeffs.shape
+            and np.array_equal(got.coeffs, want.coeffs)
+            and got[1:] == want[1:]
+            and all(type(v) is int for lst in got[1:] for v in lst))
+
+
+def test_quaternion_setup_matches_the_numpy_build(monkeypatch):
+    """quaternion_setup sums terms in Python ints; the numpy build it
+    replaced (np.add.at, with int64-overflow guards) is the oracle: the
+    same coefficients, dtype, shifts, degrees and weights on every call
+    the quaternionic pair makes on kink, free-circle, catalog and walk
+    codes, on random terms up to 6 and past 2^63, on big terms that
+    cancel to int64, and on sums that leave int64 only when added."""
+    calls = []
+    real = invariants.quaternion_setup
+
+    def recording(m, terms):
+        calls.append((m, list(terms)))
+        return real(m, terms)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(invariants, "quaternion_setup", recording)
+        for code in _quaternionic_setup_codes():
+            invariants.quaternionic_invariant(code)
+            if edge_structure(code).free_circles <= 1:
+                doubled_setup(code)
+    assert len({m for m, _terms in calls}) >= 5
+    rng = random.Random(7410)
+    for top in (6, 2**66):
+        calls += [(m, _random_terms(rng, m, top)) for m in (1, 2, 3, 4, 5) for _ in range(3)]
+    n = 2**64
+    calls += [
+        (1, [(0, 0, n, 0, 0, 0, 0), (0, 0, 1 - n, 2, 0, 0, 0)]),  # int64 again
+        (2, [(1, 0, 0, 2**62, 0, 0, -1), (1, 0, 0, 2**62 + 5, 0, 0, -1)]),
+        (1, [(0, 0, 0, 0, -(2**62), 0, 4), (0, 0, 0, 0, -(2**62), 0, 4)]),
+        (3, []),
+    ]
+    dtypes = Counter()
+    for m, terms in calls:
+        got = quaternion_setup(m, terms)
+        assert _same_setup(got, oracle.numpy_quaternion_setup(m, terms)), (m, terms)
+        dtypes[got.coeffs.dtype] += 1
+    assert quaternion_setup(2, calls[-3][1]).coeffs.dtype == object
+    assert quaternion_setup(1, calls[-2][1]).coeffs.dtype == object  # -2^63
+    assert min(dtypes[np.dtype(object)], dtypes[np.dtype(np.int64)]) >= 5, dtypes
+
+
 def _quaternion_matrix_of_rank(rng, m, rank):
     """A random m x m quaternionic matrix that is a product of m x rank
     and rank x m factors."""
@@ -902,14 +958,38 @@ def test_engine_matches_general_engine_and_bareiss(big):
     assert 0 < nonzero < len(cases)
 
 
-def test_full_selection_alone_reads_det_off_one_lu(monkeypatch):
+def _full_only(monkeypatch, setup):
+    """The full-only det_gaussian_submatrices call, made with fastdet's
+    numpy module and its evaluation, elimination and interpolation
+    routines raising when touched."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full-only path touched the numpy engine")
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            refuse()
+
+    with monkeypatch.context() as mp:
+        for name in ("_chunked_det", "_block_minors_mod", "_interpolate",
+                     "_evaluate_doubling"):
+            mp.setattr(fastdet, name, refuse)
+        mp.setattr(fastdet, "np", NoNumpy())
+        (det,) = det_gaussian_submatrices(setup, block_selections(len(setup.shifts))[:1])
+    return det
+
+
+def test_full_selection_alone_takes_kronecker_bareiss(monkeypatch):
     """Asked for the full selection alone, det_gaussian_submatrices takes
-    det A from _chunked_det of each evaluated stack, with no Gauss-Jordan
-    pass, and returns dets[0] of the call that asks for every block
-    selection.  A doubling has even rank over Q(i)(t), so the setups are
-    of rank N, N - 2 and N - 4; the constant entry root + i, whose norm
-    root^2 + 1 is 0 mod the first prime, makes the evaluated matrices of
-    rank N - 1 (and two of them N - 2) at every point of that prime."""
+    det A by Kronecker substitution and Bareiss's two-step elimination on
+    the doubling's 2 x 2 blocks (fastdet._study_bareiss), with no
+    evaluation, elimination mod p or interpolation, and returns dets[0] of
+    the call that asks for every block selection and Bareiss's det over
+    GaussianLaurent.  A doubling has even rank over Q(i)(t), so the setups
+    are of rank N, N - 2 and N - 4; the constant entry root + i, whose
+    norm root^2 + 1 is 0 mod the first prime, makes the evaluated matrices
+    of rank N - 1 (and two of them N - 2) at every point of that prime,
+    where the block-selection call takes its rank N - 1 rule."""
     rng = random.Random(7700)
     p, root = _primes(1)[0]
     bad = Quaternion.const(root, 1)
@@ -930,14 +1010,11 @@ def test_full_selection_alone_reads_det_off_one_lu(monkeypatch):
         ts = range(1, 2 * sum(setup.degs) + 2)
         stack = _evaluate_doubling(setup.coeffs, root, ts, p)
         coranks |= set((2 * len(qmat) - _gauss_jordan_mod(stack, p)[1]).tolist())
-        (det,), sizes = _stack_sizes(
-            monkeypatch, det_gaussian_submatrices, setup, sels[:1], name="_chunked_det"
-        )
-        assert bool(sizes) == all(setup.weights), qmat  # a zero row needs no LU
-        with monkeypatch.context() as mp:
-            mp.setattr(fastdet, "_block_minors_mod", None)
-            assert det_gaussian_submatrices(setup, sels[:1]) == [det]
+        det = _full_only(monkeypatch, setup)
+        assert det_gaussian_many([setup]) == [det], qmat
         assert det == det_gaussian_submatrices(setup, sels)[0], qmat
+        want = det_bareiss(double_matrix(qmat), G_ONE)
+        assert want.im.is_zero() and det == want.re, qmat
         nonzero += not det.is_zero()
     assert 0 < nonzero < len(cases) and {0, 1, 2} <= coranks
     # and mod p alone, on random stacks of rank N, N - 1 and N - 2
@@ -945,6 +1022,98 @@ def test_full_selection_alone_reads_det_off_one_lu(monkeypatch):
         stack = np.array([_matrix_of_rank(rng, n, rank, p)
                           for rank in range(n - 2, n + 1) for _ in range(3)])
         assert np.array_equal(fastdet._chunked_det(stack, p), _block_minors_mod(stack, p)[0])
+
+
+def _random_setups(rng):
+    """QuaternionSetups of random m x m matrices, m = 1..6: full, of every
+    rank below m, with a zero row, and with coefficients past 2^63."""
+    qmats = []
+    for m in range(1, 7):
+        qmats.append([[rand_quaternion(rng) for _ in range(m)] for _ in range(m)])
+        qmats += [_quaternion_matrix_of_rank(rng, m, rank)
+                  for rank in rng.sample(range(m), min(m, 2))]
+        zero_row = [[rand_quaternion(rng) for _ in range(m)] for _ in range(m)]
+        zero_row[rng.randrange(m)] = [Quaternion()] * m
+        qmats.append(zero_row)
+        if m <= 4:
+            qmats.append([[_big_quaternion(rng) for _ in range(m)] for _ in range(m)])
+    return [_qmat_setup(q) for q in qmats]
+
+
+def _code_setups():
+    """QuaternionSetups of the relation matrices of kink codes, codes with
+    one free circle and catalog and walk codes (without the free-circle
+    columns), and of the rests their unit-pivot reductions leave."""
+    out = []
+    for code in _quaternionic_setup_codes():
+        es = edge_structure(code)
+        if not es.edges or es.free_circles > 1:
+            continue
+        rows = invariants._quaternionic_rows(es)
+        _steps, S = invariants._unit_reduce(rows, invariants._qmono_mul,
+                                            invariants._qmono_inv)
+        out.append(invariants._setup_of(S))
+        if code.n_crossings <= 3:
+            out.append(invariants._setup_of(rows))
+    return out
+
+
+def test_study_kronecker_matches_the_numpy_engine(monkeypatch):
+    """Kronecker substitution and two-step Bareiss against the numpy
+    engine's det A (dets[0] of the call that asks for every block
+    selection, on evaluation, elimination mod p, interpolation and CRT) on
+    random setups of 1-6 rows, the rests and small relation matrices of
+    kink, free-circle, catalog and walk codes, and both pinned
+    counterexamples of the reduction; Bareiss over GaussianLaurent too up
+    to 3 rows."""
+    rng = random.Random(7900)
+    setups = _random_setups(rng) + _code_setups()
+    pinned = [reduced_gcd_counterexample(), rank_one_counterexample()]
+    setups += [_qmat_setup(q) for q in pinned]
+    seen = Counter()
+    for setup in setups:
+        m = len(setup.shifts)
+        det = _full_only(monkeypatch, setup)
+        assert det == det_gaussian_submatrices(setup, block_selections(m))[0], setup
+        seen["zero"] += det.is_zero()
+        seen["object"] += setup.coeffs.dtype == object
+        seen["zero row"] += not all(setup.weights)
+        seen["past int64"] += any(abs(c) >= 2**63 for c in det.terms.values())
+        seen["negative"] += any(c < 0 for c in det.terms.values())
+        seen[m] += 1
+    dets = [_full_only(monkeypatch, _qmat_setup(q)) for q in pinned]
+    assert [normalize_leadpos(d) for d in dets] == [LaurentPoly.const(9), LaurentPoly({})]
+    assert dets == [det_bareiss(double_matrix(q), G_ONE).re for q in pinned]
+    for setup in setups[:40]:
+        if len(setup.shifts) <= 3:
+            qmat = [[Quaternion(*(_poly_of(setup, r, c, k) for k in range(4)))
+                     for c in range(len(setup.shifts))] for r in range(len(setup.shifts))]
+            want = det_bareiss(double_matrix(qmat), G_ONE)
+            assert _full_only(monkeypatch, setup) == want.re and want.im.is_zero()
+    assert all(seen[m] for m in range(1, 7)) and min(seen.values()) >= 2, seen
+
+
+def _poly_of(setup, r, c, k):
+    """Component k of entry (r, c) of the matrix a QuaternionSetup stands
+    for, its row shift put back."""
+    cs = setup.coeffs[r, c, k].tolist()
+    return LaurentPoly({d + setup.shifts[r]: v for d, v in enumerate(cs) if v})
+
+
+def test_study_kronecker_meets_the_hadamard_bound():
+    """1 x 1 constants c, -c i and c k times t^3: the row weight is c^2
+    and det = c^2 t^6, one below the bound prod(weights) + 1 that sets
+    t = 2^B, so the top digit of the balanced base 2^B is needed."""
+    for c in (2, 3, 5, 181, 2**31 + 11, 2**70 + 1):
+        for parts in ((c, 0, 0, 0), (0, -c, 0, 0), (0, 0, 0, c)):
+            setup = quaternion_setup(1, [(0, 0, *parts, 3)])
+            assert setup.weights == [c * c]
+            (det,) = det_gaussian_submatrices(setup, block_selections(1)[:1])
+            assert det == LaurentPoly({6: c * c})
+    # det = c^2 (1 - t)^2 has the negative middle coefficient -2 c^2
+    setup = quaternion_setup(1, [(0, 0, 5, 0, 0, 0, 0), (0, 0, -5, 0, 0, 0, 1)])
+    (det,) = det_gaussian_many([setup])
+    assert det == LaurentPoly({0: 25, 1: -50, 2: 25})
 
 
 def test_engine_on_kishino():

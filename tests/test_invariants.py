@@ -675,6 +675,27 @@ def _reduce_quaternionic(rows):
     return invariants._unit_reduce(rows, invariants._qmono_mul, invariants._qmono_inv)
 
 
+def reduced_gcd_counterexample():
+    """A 3 x 3 matrix with Study determinant 9 and codim1_gcd 1 whose
+    complement at the unit M[0][0] has codim1_gcd 3."""
+    q = Quaternion.const
+    return [[q(1), q(1), q(0, 0, 1)],
+            [q(0, 1), q(-1, 0, 0, -1), q(0, 1, 1)],
+            [q(), q(0, 1, -1, 1), q()]]
+
+
+def rank_one_counterexample():
+    """A 3 x 3 matrix of units with third row A + j B: one pivot leaves a
+    rest with gcd 1 + t^2, while the matrix's gcd is 1."""
+
+    def unit(e, w=0, x=0, y=0, z=0):  # (w + x i + y j + z k) t^e
+        return Quaternion(*(LaurentPoly({e: v}) for v in (w, x, y, z)))
+
+    A = [unit(1, w=-1), unit(0, y=-1), unit(0, z=1)]
+    B = [unit(1, w=1), unit(1, z=1), unit(-1, y=1)]
+    return [A, B, [a + unit(0, y=1) * b for a, b in zip(A, B)]]
+
+
 def test_a_reduced_gcd_other_than_one_is_taken_again_from_the_matrix():
     """The block minors of a Schur complement S at a unit pivot are block
     minors of M up to units, so gcd_M divides gcd_S; but gcd_S can be
@@ -682,9 +703,7 @@ def test_a_reduced_gcd_other_than_one_is_taken_again_from_the_matrix():
     the complement at the unit M[0][0] has codim1_gcd 3, so a reduced
     gcd other than 1 must send the gcd back to the full matrix."""
     q = Quaternion.const
-    M = [[q(1), q(1), q(0, 0, 1)],
-         [q(0, 1), q(-1, 0, 0, -1), q(0, 1, 1)],
-         [q(), q(0, 1, -1, 1), q()]]
+    M = reduced_gcd_counterexample()
     rows = invariants._qmat_rows(M)
     steps, S = _reduce_quaternionic(rows)
     assert len(steps) == 1 and len(S) == 2  # the pivot was M[0][0]; S has no unit
@@ -780,13 +799,7 @@ def test_rank_one_rest_gcd_matches_codim1_gcd_on_singular_matrices():
     rest's own gcd.  The pinned matrix has all entries units and third
     row A + j B: one pivot leaves a rest with gcd 1 + t^2, while the
     matrix's gcd is 1."""
-
-    def unit(e, w=0, x=0, y=0, z=0):  # (w + x i + y j + z k) t^e
-        return Quaternion(*(LaurentPoly({e: v}) for v in (w, x, y, z)))
-
-    A = [unit(1, w=-1), unit(0, y=-1), unit(0, z=1)]
-    B = [unit(1, w=1), unit(1, z=1), unit(-1, y=1)]
-    pinned = [A, B, [a + unit(0, y=1) * b for a, b in zip(A, B)]]
+    pinned = rank_one_counterexample()
     seen = Counter()
     for qmat in [pinned] + _singular_matrices(random.Random(4215), 200):
         rows = invariants._qmat_rows(qmat)
@@ -952,6 +965,18 @@ def _quaternionic_setup_codes():
     texts = ["O1+U1+", "O1-U1-", "U1+O1+", "O1+U1+O2-U2-", TREFOIL + "/()",
              KISHINO + "/()", "O1+U1+/()", "O1+U2+/U1+O2+/()", HOPF + "/()/()"]
     return catalog_and_walk_codes(5, 8, seed=35) + [parse_gauss(t) for t in texts]
+
+
+def test_entry_norm_is_the_quaternion_norm():
+    """The norm of a sparse entry, squared part by part, is the norm of
+    its Quaternion: entries with terms on several powers of t in one
+    basis part (cross terms), on one power in several parts, and zero."""
+    rng = random.Random(4300)
+    for _ in range(200):
+        entry = {}
+        for _ in range(rng.randint(0, 6)):
+            entry[(rng.randint(-3, 3), rng.randrange(4))] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        assert invariants._entry_norm(entry) == invariants._quaternion_of(entry).norm(), entry
 
 
 def test_doubled_setup_matches_setup_of_doubling():
