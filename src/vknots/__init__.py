@@ -57,6 +57,8 @@ from .moves import (
     descending_switch_set,
     enumerate_sites,
     random_walk,
+    site_at,
+    site_count,
     switch_crossing,
     virt_construction,
     virtualize_crossing,

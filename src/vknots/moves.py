@@ -5,20 +5,32 @@ Virtual moves and the detour move never change a Gauss code, so the
 calculus consists of R1/R2/R3 on classical crossings plus the opt-in
 upper forbidden move (two adjacent Over passages sliding across each
 other), which models welded equivalence.
+
+``enumerate_sites`` lists a kind's sites in a fixed order, and a walk
+builds only the site it takes.  The R1Add and R2Add sites are laid out by
+count and index over the code's insertion slots (``site_count`` and
+``site_at``, which ``enumerate_sites`` also decodes).  R3 sites are found
+by a triangle search over the adjacent distinct-label pairs, indexed by
+label; a triangle's legality depends only on its shape (which ends of the
+three strands carry which crossing, their passages and the three signs),
+one of 512 shapes, and each shape is decided once by the 96-placement
+search and remembered.  For a kind it does not take, a walk only asks
+whether a site exists.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import permutations, product
+from math import isqrt
 
 from .gausscode import (
     GaussCodeError,
     GaussEntry,
     LinkGaussCode,
     canonicalize,
-    edge_structure,
 )
 
 MOVE_KINDS = ("R1Add", "R1Remove", "R2Add", "R2Remove", "R3", "ForbiddenOver")
@@ -61,19 +73,42 @@ def _adjacent_pairs(code):
 
 
 def enumerate_sites(code, kind):
-    if kind == "R1Add":
-        return _sites_r1_add(code)
-    if kind == "R1Remove":
-        return _sites_r1_remove(code)
-    if kind == "R2Add":
-        return _sites_r2_add(code)
-    if kind == "R2Remove":
-        return _sites_r2_remove(code)
-    if kind == "R3":
-        return _sites_r3(code)
-    if kind == "ForbiddenOver":
-        return _sites_forbidden(code)
+    """Every site of the move kind on the code, as a list in a fixed order."""
+    if kind in _SPOT_KINDS:
+        count, at = _SPOT_KINDS[kind]
+        spots = _spots(code)
+        return [at(spots, i) for i in range(count(len(spots)))]
+    if kind in _SITE_ITERS:
+        return list(_SITE_ITERS[kind](code))
     raise ValueError(f"unknown move kind {kind!r}")
+
+
+def site_count(code, kind):
+    """len(enumerate_sites(code, kind)) for R1Add or R2Add, in closed form:
+    4 sites per insertion slot for R1Add, 4 m^2 for R2Add on m slots."""
+    return _spot_kind(kind)[0](len(_spots(code)))
+
+
+def site_at(code, kind, i):
+    """enumerate_sites(code, kind)[i] for R1Add or R2Add, built alone."""
+    count, at = _spot_kind(kind)
+    spots = _spots(code)
+    if not 0 <= i < count(len(spots)):
+        raise IndexError(f"{kind} site index {i} out of range")
+    return at(spots, i)
+
+
+def _spot_kind(kind):
+    try:
+        return _SPOT_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"{kind!r} sites are not laid out by index") from None
+
+
+def _has_site(code, kind):
+    if kind in _SPOT_KINDS:
+        return True  # every code has an insertion slot
+    return next(_SITE_ITERS[kind](code), None) is not None
 
 
 def apply_move(code, site):
@@ -124,22 +159,23 @@ def _slots(comp):
     return range(len(comp)) if comp else (0,)
 
 
-def _sites_r1_add(code):
-    out = []
-    for ci, comp in enumerate(code.components):
-        for slot in _slots(comp):
-            for over_first in (True, False):
-                for sign in (1, -1):
-                    out.append(MoveSite("R1Add", (ci, slot, over_first, sign)))
-    return out
-
-
-def _sites_r1_remove(code):
+def _spots(code):
+    """The insertion slots (ci, slot) of every component, in order."""
     return [
-        MoveSite("R1Remove", (ci, p))
-        for ci, p, _q, x, y in _adjacent_pairs(code)
-        if x.label == y.label
+        (ci, slot) for ci, comp in enumerate(code.components) for slot in _slots(comp)
     ]
+
+
+def _r1_add_at(spots, i):
+    # per slot: over_first in (True, False), then sign in (1, -1)
+    slot, r = divmod(i, 4)
+    return MoveSite("R1Add", spots[slot] + (r < 2, -1 if r & 1 else 1))
+
+
+def _r1_remove_sites(code):
+    for ci, p, _q, x, y in _adjacent_pairs(code):
+        if x.label == y.label:
+            yield MoveSite("R1Remove", (ci, p))
 
 
 # --- R2 -------------------------------------------------------------------
@@ -153,21 +189,23 @@ def _sites_r1_remove(code):
 # itself (nested pattern on a single strand).
 
 
-def _sites_r2_add(code):
-    spots = []
-    for ci, comp in enumerate(code.components):
-        for slot in _slots(comp):
-            spots.append((ci, slot))
-    out = []
-    for i, s1 in enumerate(spots):
-        for s2 in spots[i:]:
-            for over_first, anti, sigma in product(
-                (True, False), (True, False), (1, -1)
-            ):
-                if s1 == s2 and not anti:
-                    continue  # a strand over itself is necessarily antiparallel
-                out.append(MoveSite("R2Add", (s1, s2, over_first, anti, sigma)))
-    return out
+_R2_FLAGS = tuple(product((True, False), (True, False), (1, -1)))
+# a strand over itself is necessarily antiparallel
+_R2_SAME_SLOT_FLAGS = tuple(f for f in _R2_FLAGS if f[1])
+
+
+def _r2_add_at(spots, i):
+    # slot pairs s1 <= s2 in order, (over_first, anti, sigma) in product
+    # order within each: 4 sites when s1 == s2, 8 otherwise, so the pairs
+    # from s1 = a start at 4 a (2m - a) and there are 4 m^2 sites in all
+    m = len(spots)
+    a = m - 1 - isqrt(m * m - i // 4 - 1)
+    r = i - 4 * a * (2 * m - a)
+    if r < 4:
+        b, flags = a, _R2_SAME_SLOT_FLAGS[r]
+    else:
+        b, flags = a + 1 + (r - 4) // 8, _R2_FLAGS[(r - 4) % 8]
+    return MoveSite("R2Add", (spots[a], spots[b]) + flags)
 
 
 def _apply_r2_add(code, data):
@@ -197,8 +235,7 @@ def _apply_r2_add(code, data):
     return _with_component(out, c2, _insert(out.components[c2], s2, strand2))
 
 
-def _sites_r2_remove(code):
-    out = []
+def _r2_remove_sites(code):
     # locate the adjacent Over pair; the Under partners must also be
     # adjacent (in either order) and the signs opposite.
     under_adj = {}
@@ -214,8 +251,7 @@ def _sites_r2_remove(code):
         ):
             hit = under_adj.get(frozenset((x.label, y.label)))
             if hit is not None:
-                out.append(MoveSite("R2Remove", ((ci, p, q), hit)))
-    return out
+                yield MoveSite("R2Remove", ((ci, p, q), hit))
 
 
 def _apply_r2_remove(code, data):
@@ -259,46 +295,97 @@ def _det2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _sites_r3(code):
-    # gather adjacent distinct-label pairs
-    pairs = [
-        (ci, p, q) for ci, p, q, x, y in _adjacent_pairs(code) if x.label != y.label
-    ]
-    out = []
-    for trio in combinations(pairs, 3):
-        positions = set()
-        ok = True
-        for ci, p, q in trio:
-            for pos in ((ci, p), (ci, q)):
-                if pos in positions:
-                    ok = False
-                positions.add(pos)
-        if not ok:
-            continue
-        labelsets = []
-        for ci, p, q in trio:
-            comp = code.components[ci]
-            labelsets.append((comp[p].label, comp[q].label))
-        labs = set()
-        for a, b in labelsets:
-            labs.update((a, b))
-        if len(labs) != 3:
-            continue
-        if any(len(set(ls)) != 2 for ls in labelsets) or len(
-            {frozenset(ls) for ls in labelsets}
-        ) != 3:
-            continue
-        if _r3_legal(code, trio, labelsets):
-            out.append(MoveSite("R3", tuple(trio)))
-    return out
+def _r3_sites(code):
+    """R3 sites in the order of itertools.combinations over the adjacent
+    distinct-label pairs: from each pair i = {a, b}, the later pairs j
+    sharing exactly one label with it, then the later pairs k whose label
+    set closes the triangle."""
+    pairs = []  # (ci, p, q, comp[p], comp[q])
+    by_label = {}  # label -> indices of the pairs holding it
+    by_set = {}  # frozenset of the two labels -> pair indices
+    for pair in _adjacent_pairs(code):
+        a, b = pair[3].label, pair[4].label
+        if a != b:
+            i = len(pairs)
+            pairs.append(pair)
+            by_label.setdefault(a, []).append(i)
+            by_label.setdefault(b, []).append(i)
+            by_set.setdefault(frozenset((a, b)), []).append(i)
+    for i, (ci, pi, qi, xi, yi) in enumerate(pairs):
+        ab = {xi.label, yi.label}
+        # a pair with label set {a, b} is listed twice and closes nothing
+        for j in sorted(j for lab in ab for j in by_label[lab] if j > i):
+            cj, pj, qj, xj, yj = pairs[j]
+            rest = ab ^ {xj.label, yj.label}
+            if len(rest) != 2:
+                continue
+            for k in by_set.get(frozenset(rest), ()):
+                if k <= j:
+                    continue
+                ck, pk, qk, xk, yk = pairs[k]
+                ends = {(ci, pi), (ci, qi), (cj, pj), (cj, qj), (ck, pk), (ck, qk)}
+                if len(ends) != 6:
+                    continue
+                if _r3_shape_legal(_r3_key(xi, yi, xj, yj, xk, yk)):
+                    yield MoveSite("R3", ((ci, pi, qi), (cj, pj, qj), (ck, pk, qk)))
 
 
-def _r3_legal(code, trio, labelsets):
-    # passage of each strand at each of its two crossings
-    strand_info = []  # per strand: ((label, passage), (label, passage), sign data)
-    for (ci, p, q), (la, lb) in zip(trio, labelsets):
-        comp = code.components[ci]
-        strand_info.append(((la, comp[p].passage), (lb, comp[q].passage)))
+def _r3_key(x0, y0, x1, y1, x2, y2):
+    """The shape of the triangle whose strands s = 0, 1, 2 run through the
+    entries (x_s, y_s), as an int in range(512).
+
+    The crossings are numbered 0 = x0, 1 = y0 and 2 = the third.  The key is
+    layout * 64 + passages * 8 + signs.  layout = 2 * (0 -> (0, 2),
+    1 -> (2, 0), 2 -> (1, 2), 3 -> (2, 1): strand 1's crossings) + (whether
+    strand 2 meets crossing 2 first).  The passage bits (O = 1) and the sign
+    bits (+ = 1) are those of x0, y0 and strand 1's entry of crossing 2; a
+    crossing's other entry has the other passage and the same sign.
+    """
+    a, b = x0.label, y0.label
+    if x1.label == a:
+        layout, z = 0, y1
+    elif y1.label == a:
+        layout, z = 1, x1
+    elif x1.label == b:
+        layout, z = 2, y1
+    else:
+        layout, z = 3, x1
+    layout = 2 * layout + (x2.label == z.label)
+    passages = 4 * (x0.passage == "O") + 2 * (y0.passage == "O") + (z.passage == "O")
+    signs = 4 * (x0.sign > 0) + 2 * (y0.sign > 0) + (z.sign > 0)
+    return 64 * layout + 8 * passages + signs
+
+
+def _r3_shape(key):
+    """The inverse of _r3_key: per strand ((crossing, passage), (crossing,
+    passage)) at its two ends, and the sign of each crossing 0, 1, 2."""
+    layout, rest = divmod(key, 64)
+    passages, signs = divmod(rest, 8)
+    strand1, strand2_first = divmod(layout, 2)
+    shared = strand1 // 2  # the crossing strand 1 shares with strand 0
+    other = 1 - shared
+    ends = (
+        (0, 1),
+        (2, shared) if strand1 % 2 else (shared, 2),
+        (2, other) if strand2_first else (other, 2),
+    )
+    home = (0, 0, 1)  # the strand whose entry the key's bits describe
+    over = [bool(passages & bit) for bit in (4, 2, 1)]
+    shape = tuple(
+        tuple((c, "O" if over[c] == (s == home[c]) else "U") for c in ends[s])
+        for s in range(3)
+    )
+    return shape, tuple(1 if signs & bit else -1 for bit in (4, 2, 1))
+
+
+@lru_cache(maxsize=512)
+def _r3_shape_legal(key):
+    return _r3_search(*_r3_shape(key))
+
+
+def _r3_search(strand_info, signs):
+    """Whether some placement of the three strands on the three lines
+    realizes the trio: strand_info as from _r3_shape, signs[crossing]."""
     # over strand index at each crossing + transitivity of the over relation
     over_count = [0, 0, 0]
     for si, info in enumerate(strand_info):
@@ -312,7 +399,6 @@ def _r3_legal(code, trio, labelsets):
     for si, info in enumerate(strand_info):
         for lab, passage in info:
             cross_strands.setdefault(lab, {})[passage] = si
-    signs = edge_structure(code).signs
     for assign in permutations(range(3)):  # strand s -> line assign[s]
         line_of = assign
         strand_at_line = {line_of[s]: s for s in range(3)}
@@ -368,12 +454,24 @@ def _scaled_dir(line, orient):
 # --- forbidden move -------------------------------------------------------
 
 
-def _sites_forbidden(code):
-    return [
-        MoveSite("ForbiddenOver", (ci, p))
-        for ci, p, _q, x, y in _adjacent_pairs(code)
-        if x.passage == "O" and y.passage == "O" and x.label != y.label
-    ]
+def _forbidden_sites(code):
+    for ci, p, _q, x, y in _adjacent_pairs(code):
+        if x.passage == "O" and y.passage == "O" and x.label != y.label:
+            yield MoveSite("ForbiddenOver", (ci, p))
+
+
+# kind -> (number of sites on m insertion slots, (slots, index) -> site)
+_SPOT_KINDS = {
+    "R1Add": (lambda m: 4 * m, _r1_add_at),
+    "R2Add": (lambda m: 4 * m * m, _r2_add_at),
+}
+# kind -> generator of its sites in enumerate_sites order
+_SITE_ITERS = {
+    "R1Remove": _r1_remove_sites,
+    "R2Remove": _r2_remove_sites,
+    "R3": _r3_sites,
+    "ForbiddenOver": _forbidden_sites,
+}
 
 
 # --- crossing transforms --------------------------------------------------
@@ -455,13 +553,21 @@ def virt_construction(code, basepoint=0):
 # --- random walk ----------------------------------------------------------
 
 
+_GROWTH = {"R1Add": 1, "R2Add": 2}  # crossings added by each kind
+
+
 def random_walk(code, steps, seed, allow_forbidden=False, max_crossings=None):
     """A reproducible sequence of `steps` legal moves starting at `code`.
 
     Returns the list of steps+1 codes.  Each step picks uniformly among
     move kinds that currently have sites (crossing-adding kinds are
     excluded when they would exceed max_crossings), then uniformly among
-    that kind's sites.
+    that kind's sites.  The random stream is fixed by that rule: one
+    rng.randrange(number of kinds with sites), the kinds in the order
+    R1Add, R1Remove, R2Add, R2Remove, R3, ForbiddenOver, then one
+    rng.randrange(number of sites) naming a site by its index in
+    enumerate_sites order.  Only the site taken is built; for the other
+    kinds the walk asks only whether a site exists.
     """
     rng = random.Random(seed)
     kinds = ["R1Add", "R1Remove", "R2Add", "R2Remove", "R3"]
@@ -469,19 +575,22 @@ def random_walk(code, steps, seed, allow_forbidden=False, max_crossings=None):
         kinds.append("ForbiddenOver")
     out = [code]
     for _ in range(steps):
+        n = code.n_crossings
         options = []
         for kind in kinds:
-            if max_crossings is not None:
-                grow = {"R1Add": 1, "R2Add": 2}.get(kind, 0)
-                if grow and code.n_crossings + grow > max_crossings:
-                    continue
-            sites = enumerate_sites(code, kind)
-            if sites:
-                options.append((kind, sites))
+            grow = _GROWTH.get(kind, 0)
+            if grow and max_crossings is not None and n + grow > max_crossings:
+                continue
+            if _has_site(code, kind):
+                options.append(kind)
         if not options:
             break
-        _kind, sites = options[rng.randrange(len(options))]
-        site = sites[rng.randrange(len(sites))]
+        kind = options[rng.randrange(len(options))]
+        if kind in _SPOT_KINDS:
+            site = site_at(code, kind, rng.randrange(site_count(code, kind)))
+        else:
+            sites = enumerate_sites(code, kind)
+            site = sites[rng.randrange(len(sites))]
         code = apply_move(code, site)
         out.append(code)
     return out
