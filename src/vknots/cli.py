@@ -357,6 +357,14 @@ def cmd_catalog(args):
 # --- parser -------------------------------------------------------------------
 
 
+def _count(text):
+    """A non-negative int option value (walks, steps, crossings)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def _add_code_args(p):
     p.add_argument("--code", help="signed oriented Gauss code")
     p.add_argument("--name", help="built-in catalog entry name")
@@ -409,19 +417,19 @@ def build_parser():
     p = sub.add_parser("fuzz", help="move-invariance property fuzzing")
     _add_code_args(p)
     _add_colorings_arg(p)
-    p.add_argument("--walks", type=int, default=50)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--walks", type=_count, default=50)
+    p.add_argument("--steps", type=_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allow-forbidden", action="store_true",
                    help="include the over-forbidden move "
                    "(only quandle counts are then asserted)")
-    p.add_argument("--max-crossings", type=int, default=6,
+    p.add_argument("--max-crossings", type=_count, default=6,
                    help="cap diagram growth during walks")
     p.add_argument("--out", help="write the summary to this path")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("tabulate", help="enumerate small single-component codes")
-    p.add_argument("--max", type=int, required=True,
+    p.add_argument("--max", type=_count, required=True,
                    help="maximum number of crossings")
     _add_selection_args(p)
     _add_colorings_arg(p)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .budget import BudgetError, read_budget
 from .fastdet import (
+    block_places,
     block_selections,
     det_gaussian_many,
     det_gaussian_submatrices,
@@ -533,18 +534,11 @@ def _fold_study_gcd(g, dets):
 def codim1_gcd(qmat):
     """gcd in Z[t] of the Study determinants of all first minors of a
     square quaternionic matrix, normalized to t-valuation 0 and positive
-    leading coefficient.
-
-    All m^2 minors come from one determinant-engine call, which eliminates
-    each evaluated matrix once for all of them.  The gcd folds the
-    diagonal minors first: once it is 1 the rest cannot change it.  The
-    matrix is not reduced first: this is the reference path.
+    leading coefficient: the gcd of _quaternionic_pair on its sparse rows.
     """
-    m = len(qmat)
-    if m == 0:
+    if not qmat:
         return LaurentPoly.const(1)
-    dets = det_gaussian_submatrices(_qmat_setup(qmat), block_selections(m)[1:])
-    return _fold_study_gcd(LaurentPoly({}), dets)
+    return _quaternionic_pair(_qmat_rows(qmat))[1]
 
 
 def _reduced_study(S):
@@ -554,6 +548,18 @@ def _reduced_study(S):
         return _entry_norm(S[0].get(0, {}))
     (det,) = det_gaussian_submatrices(_setup_of(S), block_selections(len(S))[:1])
     return det
+
+
+def _matrix_minor(rows, r, c):
+    """Study determinant, up to a unit, of the square matrix given as
+    sparse rows (at least 2) without row r and column c: reduced by unit
+    pivots first (see _unit_reduce), then its rest by _reduced_study."""
+    sub = [
+        {c2 - (c2 > c): e for c2, e in row.items() if c2 != c}
+        for r2, row in enumerate(rows)
+        if r2 != r
+    ]
+    return _reduced_study(_unit_reduce(sub, _qmono_mul, _qmono_inv)[1])
 
 
 def _qaddmul(acc, a, b):
@@ -570,24 +576,62 @@ def _qaddmul(acc, a, b):
 
 
 def _kernel_vectors(steps, S):
-    """(x, v, N(a)): x M = 0 and M v = 0 for the matrix M that steps
-    reduce to S (see _unit_reduce), S 2 x 2 of rank 1, as {index: entry}.
+    """(x, v): x M = 0 and M v = 0 for the matrix M that steps reduce to
+    S (see _unit_reduce), S k x k of rank k - 1 (k >= 2), as {index:
+    entry}.
 
-    Rank 1 means d = c a^-1 b for a = S[i][j] != 0, b = S[i][j'] and
-    c = S[i'][j], so (-a-bar b, N(a)) on columns (j, j') and
-    (-c a-bar, N(a)) on rows (i, i') are S's kernel vectors.  The steps,
-    in reverse, lift them to M by v_c = -u^-1 sum prow[c'] v_c' and
-    x_r = -sum x_r' f_r'.
+    S is taken down by fraction-free steps, each on a nonzero pivot
+    a = S[r][c] with the fewest terms: every other row r' becomes
+    N(a) row r' - S[r'][c] conj(a) row r, N(a) times the Schur complement
+    at a, and row r and column c leave.  The rank falls by one per step,
+    so the 1 x 1 rest is 0, with kernel vectors (1).  The steps in reverse
+    lift them by v_c = -conj(a) sum_c' S[r][c'] v_c' and
+    x_r = -sum_r' x_r' S[r'][c] conj(a), every other entry times N(a)
+    (real, so central); then the unit steps lift them to M by
+    v_c = -u^-1 sum prow[c'] v_c' and x_r = -sum x_r' f_r'.
     """
-    i, j = next((r, c) for r in range(2) for c in S[r])
-    a = S[i][j]
-    b, c = S[i].get(1 - j, {}), S[1 - i].get(j, {})
-    minus_abar = {y: (w if y[1] else -w) for y, w in a.items()}
-    na = {y: -w for y, w in _qaddmul({}, a, minus_abar).items()}  # N(a), real
-    m = len(steps) + 2
+    rest = dict(enumerate(map(dict, S)))
+    cols = set(range(len(S)))
+    lifts = []
+    while len(rest) > 1:
+        _size, r, c = min((len(e), r, c) for r, row in rest.items() for c, e in row.items())
+        prow = rest.pop(r)
+        a = prow.pop(c)
+        cols.discard(c)
+        minus_abar = {y: (w if y[1] else -w) for y, w in a.items()}
+        na = {y: -w for y, w in _qaddmul({}, a, minus_abar).items()}  # N(a), real
+        fcol = {}
+        for r2, row in rest.items():
+            f = row.pop(c, None)
+            new = {c2: _qaddmul({}, na, e) for c2, e in row.items()}
+            if f:
+                fcol[r2] = f
+                g = _qaddmul({}, f, minus_abar)
+                for c2, b in prow.items():
+                    e = _qaddmul(new.get(c2, {}), g, b)
+                    if e:
+                        new[c2] = e
+                    else:
+                        new.pop(c2, None)
+            rest[r2] = new
+        lifts.append((r, c, minus_abar, na, prow, fcol))
+    one = {(0, 0): 1}
+    x, v = {next(iter(rest)): one}, {cols.pop(): one}
+    for r, c, minus_abar, na, prow, fcol in reversed(lifts):
+        acc = {}
+        for c2, e in prow.items():
+            _qaddmul(acc, e, v[c2])
+        v = {c2: _qaddmul({}, na, e) for c2, e in v.items()}
+        v[c] = _qaddmul({}, minus_abar, acc)
+        acc = {}
+        for r2, f in fcol.items():
+            _qaddmul(acc, x[r2], f)
+        x = {r2: _qaddmul({}, e, na) for r2, e in x.items()}
+        x[r] = _qaddmul({}, acc, minus_abar)
+    m = len(steps) + len(S)
     rows, cols = _kept(steps, m, 0), _kept(steps, m, 1)
-    x = {rows[i]: _qaddmul({}, c, minus_abar), rows[1 - i]: na}
-    v = {cols[j]: _qaddmul({}, minus_abar, b), cols[1 - j]: na}
+    x = {rows[i]: e for i, e in x.items()}
+    v = {cols[j]: e for j, e in v.items()}
     for r, col, uinv, prow, fcol in reversed(steps):
         acc = {}
         for c2, e in prow.items():
@@ -597,64 +641,85 @@ def _kernel_vectors(steps, S):
         for r2, f in fcol.items():
             _qaddmul(acc, x[r2], f)
         x[r] = {y: -w for y, w in acc.items()}
-    return x, v, _quaternion_of(na).w
+    return x, v
 
 
-def _rank_one_gcd(steps, S):
+def _rank_one_gcd(steps, S, place, minor):
     """The codimension-1 gcd of the matrix M that steps reduce to S (see
-    _unit_reduce), for S 2 x 2, nonzero, with Study determinant 0.
+    _unit_reduce), for S k x k of rank k - 1 (k >= 2), given a nonzero
+    block minor of S and its place (r0, c0).
 
     M then has rank m - 1 over the quaternions, so its doubling has rank
     2m - 2 and its (2m - 2)-minors factor as in Jacobi's complementary
     minor identity: the block minor without row r and column c is
     lambda N(x_r) N(v_c), for the kernel vectors x M = 0 and M v = 0 of
     _kernel_vectors (their doublings span both kernels of the doubling).
-    The block minor at (i', j') keeps every pivot, so it is N(a) up to a
-    unit, and x_i' = v_j' = N(a) make lambda 1 / N(a)^3 up to a unit.
-    By Gauss's lemma the gcd over (r, c) of N(x_r) N(v_c) is
-    gcd_r N(x_r) gcd_c N(v_c), so no minor is taken.
+    The minor of S at (r0, c0) keeps every pivot, so it is, up to a unit,
+    M's at the rows and columns (R0, C0) of M that S's r0 and c0 are;
+    that fixes lambda.  By Gauss's lemma the gcd over (r, c) of
+    N(x_r) N(v_c) is gcd_r N(x_r) gcd_c N(v_c), so no other minor is
+    taken.
     """
-    x, v, na = _kernel_vectors(steps, S)
+    x, v = _kernel_vectors(steps, S)
+    m = len(steps) + len(S)
+    r0, c0 = place
+    R0, C0 = _kept(steps, m, 0)[r0], _kept(steps, m, 1)[c0]
     gx, gv = (
         _fold_study_gcd(LaurentPoly({}), map(_entry_norm, vec.values()))
         for vec in (x, v)
     )
-    return normalize_leadpos((gx * gv).exact_div(na ** 3))
+    scale = _entry_norm(x[R0]) * _entry_norm(v[C0])
+    return normalize_leadpos((gx * gv * minor).exact_div(scale))
 
 
 def _quaternionic_pair(rows):
     """(normalized Study determinant, codimension-1 gcd) of a square
-    quaternionic matrix given as sparse rows.
+    quaternionic matrix M, m x m with m >= 1, given as sparse rows.
 
-    The matrix is reduced by unit pivots first (see _unit_reduce), which
-    changes its Study determinant by a unit only.  The block minors of a
-    reduced S of 2 rows are the norms of its entries, a 1-row S after a
-    pivot has gcd 1 (its one minor is empty), and a larger S takes one
-    engine call for its determinant and every block minor.  A gcd of 1
-    from S is the matrix's own.  Any other, after at least one pivot, is
-    read off the kernel vectors when S has 2 rows and Study determinant
-    0 (see _rank_one_gcd; 0 when S = 0), and otherwise taken again from
-    the matrix's m^2 block minors in one engine call.
+    M is reduced by unit pivots to a k x k rest S (see _unit_reduce),
+    which changes its Study determinant by a unit only; that is the norm
+    of S's one entry, or one full-only engine call.  S's block minors are
+    folded into gcd_S lazily, in block_places order, stopping at 1: the
+    norms of its entries when k = 2, one single-selection engine call
+    each when k >= 3, and the one empty minor 1 when k = 1.  Then, in
+    turn:
+
+    * no pivot was taken, or gcd_S = 1: gcd_S is M's gcd (every block
+      minor of S is, up to a unit, one of M, so M's gcd divides gcd_S);
+    * gcd_S = 0: rank S <= k - 2, so rank M <= m - 2 and every block
+      minor of M is 0;
+    * det S = 0: rank S = k - 1, and the gcd is read off kernel vectors
+      and the first nonzero minor of S (_rank_one_gcd);
+    * otherwise M's own block minors are folded, each reduced and taken
+      on its own (_matrix_minor).
     """
     steps, S = _unit_reduce(rows, _qmono_mul, _qmono_inv)
     k = len(S)
     one = LaurentPoly.const(1)
-    if k >= 3:
-        dets = det_gaussian_submatrices(_setup_of(S), block_selections(k))
-        det, gcd = dets[0], _fold_study_gcd(LaurentPoly({}), dets[1:])
+    if k == 1:
+        det, gcd = _entry_norm(S[0].get(0, {})), one
     else:
-        det, gcd = _reduced_study(S), one
-        if k == 2:  # diagonal minors first, as in block_selections
-            minors = ((1, 1), (0, 0), (1, 0), (0, 1))
-            norms = (_entry_norm(S[r].get(c, {})) for r, c in minors)
-            gcd = _fold_study_gcd(LaurentPoly({}), norms)
-    if steps and gcd != one:
-        if k == 2 and det.is_zero():
-            gcd = _rank_one_gcd(steps, S) if any(S) else LaurentPoly({})
+        setup, sels = _setup_of(S), block_selections(k)
+        (det,) = det_gaussian_submatrices(setup, sels[:1])
+        gcd, first = LaurentPoly({}), None  # first: S's first nonzero minor
+        for (r, c), sel in zip(block_places(k), sels[1:]):
+            if k == 2:
+                d = _entry_norm(S[1 - r].get(1 - c, {}))
+            else:
+                (d,) = det_gaussian_submatrices(setup, [sel])
+            if first is None and not d.is_zero():
+                first = ((r, c), d)
+            gcd = _fold_study_gcd(gcd, [d])
+            if gcd == one:
+                break
+    if steps and gcd != one and not gcd.is_zero():
+        if det.is_zero():
+            gcd = _rank_one_gcd(steps, S, *first)
         else:
-            m = len(rows)
-            dets = det_gaussian_submatrices(_setup_of(rows), block_selections(m)[1:])
-            gcd = _fold_study_gcd(LaurentPoly({}), dets)
+            places = block_places(len(rows))
+            gcd = _fold_study_gcd(
+                LaurentPoly({}), (_matrix_minor(rows, r, c) for r, c in places)
+            )
     return normalize_leadpos(study_determinant(det)), gcd
 
 

@@ -5,8 +5,9 @@ A quaternion q = w + x i + y j + z k is stored as four LaurentPoly
 components.  The complex doubling used for Study determinants identifies
 q = z1 + z2 j with the 2x2 complex matrix [[z1, z2], [-conj(z2), conj(z1)]],
 where z1 = w + x i and z2 = y + z i live in Z[i][t, t^-1].  The
-determinant engine assembles that doubling itself from the four
-components; ``double_matrix`` is the reference it is checked against.
+determinant engine works on the four components, one 2 x 2 block of
+the doubling at a time; ``double_matrix`` is the reference it is
+checked against.
 """
 
 from __future__ import annotations

@@ -1,28 +1,68 @@
-"""The general determinant engine over Z[i][t, t^-1], kept as a test oracle.
+"""The evaluate -> eliminate mod p -> interpolate -> CRT determinant
+engine over Z[i][t, t^-1], kept as a test oracle for ``vknots.fastdet``.
 
-These are the routines ``vknots.fastdet`` had before it took quaternionic
-matrices only, unchanged: a square matrix over Z[i][t, t^-1] is read into
-a ``GaussianSetup`` (n x n with an i axis of real and imaginary parts),
-evaluated at i -> +/- sqrt(-1) mod p (the two-point i axis, whose inverse
-Vandermonde matrix separates the real and imaginary parts), and any
-selection of rows and columns is eliminated on its own unless it is a
-block selection.  A matrix that ``_is_doubling`` recognises, with only
-block selections, takes the one point +sqrt(-1), as the doubling-only
-engine does.  Results are ``GaussianLaurent``.
+The evaluation scheme:
 
-``_evaluate`` (a matrix on a two-axis grid of points) and
-``_coefficient_bound`` serve this engine only: ``vknots.fastdet``
-evaluates doublings with ``_evaluate_doubling`` and bounds them by
-prod_r weight_r + 1.
+* shift each row by a monomial so all exponents are nonnegative (the
+  determinant picks up a known monomial factor),
+* bound the degree (sum of per-row maxima) and the coefficients
+  (``_coefficient_bound``, the Goldstein-Graham bound of the
+  ``vknots.fastdet`` docstring),
+* evaluate the matrix on a grid of points modulo several primes
+  p = 1 (mod 4), run batched division-free elimination in numpy,
+  interpolate the coefficients with a cached inverse Vandermonde matrix
+  per axis, and lift by the Chinese remainder theorem with symmetric
+  representatives (``_interpolate``, the one loop over primes).
+
+A square matrix over Z[i][t, t^-1] is read into a ``GaussianSetup`` (n x
+n with an i axis of real and imaginary parts), evaluated at i -> +/-
+sqrt(-1) mod p (the two-point i axis, whose inverse Vandermonde matrix
+separates the real and imaginary parts), and any selection of rows and
+columns is eliminated on its own unless it is a block selection.  A
+matrix that ``_is_doubling`` recognises, with only block selections,
+takes the one point +sqrt(-1): conj A = S A S^-1 for a doubling, so its
+determinant and block minors are real, and i -> +sqrt(-1) is a ring map
+Z[i] -> F_p that leaves a real polynomial's coefficients as they are.
+Results are ``GaussianLaurent``.
+
+Block minors.  For an N x N matrix A (N = 2m), det A and the m^2 minors
+that delete one 2 x 2 block row r and one block column c are all read
+off one division-free Gauss-Jordan elimination T [A | I] = [R | T] mod p
+per evaluation point (``_block_minors_mod``), with det T = sign * lead^N
+(lead the product of the pivots) and d the pivots left on R's diagonal.
+The rule is picked by the rank of the evaluated matrix over F_p:
+
+* rank N: det A = prod(d) / det T, and by Jacobi's complementary-minor
+  identity minor(r, c) = det A * det (A^-1)[{2c, 2c+1}, {2r, 2r+1}]
+  (the sign (-1)^(sum of the deleted indices) is + for block deletions);
+* rank N-2: det A = 0, and
+  minor(r, c) = (-1)^(f1+f2+1) u_r w_c / (prod(d) det T), where f1 < f2
+  are R's free columns, u_r is the 2 x 2 minor on block r of the last two
+  rows of T (a basis of the left kernel), and w_c that of the right
+  kernel y with y_f = prod(d) on the free columns and
+  y_{pc_i} = -R[i, f] prod_{j != i} d_j on the pivot columns.  Proof
+  sketch: Cauchy-Binet on T A = R gives C(A) = C(T)^-1 C(R) for the
+  (N-2)-th compounds.  C(R) has a single nonzero row, the (N-2)-minors of
+  R's pivot rows, and the complementary Pluecker identity (normalised at
+  the pivot columns, where that minor is prod(d)) makes the one deleting
+  block c equal to (-1)^(f1+f2+1) w_c / prod(d).  Jacobi's identity makes
+  the matching entry of C(T)^-1 equal to u_r / det T.  No minor is
+  eliminated on its own, and u = 0 or w = 0 gives all minors 0
+  (``_corank2_factors``);
+* rank < N-2: det A and every minor are 0;
+* rank N-1: det A = 0 and the minors are eliminated one by one.
+
+Each rule is an identity over F_p, so every value is exact whatever the
+generic rank of the polynomial matrix (Horn & Johnson, *Matrix Analysis*,
+section 0.8).
 
 ``doubled_setup_of`` lays out the GaussianSetup of the doubling from a
 ``vknots.fastdet.QuaternionSetup``: the reference for the block layout
-that the engine assembles at evaluation time.
+of the quaternionic matrices the engine reads.
 
-``numpy_quaternion_setup`` is the numpy build of a QuaternionSetup
-(``np.add.at`` on index arrays, with int64-overflow guards) that
-``vknots.fastdet.quaternion_setup`` had before it summed terms in Python
-ints: the oracle for that rewrite.
+``numpy_quaternion_setup`` is a numpy build of a QuaternionSetup
+(``np.add.at`` on index arrays, with int64-overflow guards): the oracle
+for ``vknots.fastdet.quaternion_setup``, which sums terms in Python ints.
 """
 
 from __future__ import annotations
@@ -32,16 +72,346 @@ from typing import NamedTuple
 
 import numpy as np
 
-from vknots.fastdet import (
-    QuaternionSetup,
-    _block_keep,
-    _block_minors_mod,
-    _chunked_det,
-    _interpolate,
-    _powers,
-)
+from vknots.fastdet import QuaternionSetup
 from vknots.laurent import LaurentPoly
 from vknots.quaternion import GaussianLaurent
+
+_PRIME_START = 15_000_000
+_prime_cache: list[tuple[int, int]] = []  # (p, sqrt(-1) mod p)
+_vand_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _sqrt_minus_one(p):
+    for a in range(2, p):
+        r = pow(a, (p - 1) // 4, p)
+        if r * r % p == p - 1:
+            return r
+    raise ArithmeticError(f"no sqrt(-1) mod {p}")
+
+
+def _primes(count):
+    """First `count` cached primes p = 1 (mod 4), each with sqrt(-1)."""
+    n = _prime_cache[-1][0] + 4 if _prime_cache else _PRIME_START + 1
+    while n % 4 != 1:
+        n += 1
+    while len(_prime_cache) < count:
+        if _is_prime(n):
+            _prime_cache.append((n, _sqrt_minus_one(n)))
+        n += 4
+    return _prime_cache[:count]
+
+
+def _num_primes_for(bound):
+    """How many ~15e6 primes are needed so their product exceeds 2*bound."""
+    need = 2 * bound + 1
+    acc, k = 1, 0
+    while acc < need:
+        acc *= _PRIME_START
+        k += 1
+    return max(k, 1)
+
+
+def _modpow(base, e, p):
+    result = np.ones_like(base)
+    b = base % p
+    while e:
+        if e & 1:
+            result = result * b % p
+        b = b * b % p
+        e >>= 1
+    return result
+
+
+def _mod_inplace(x, p):
+    """Reduce an int64 array mod p in place and return it.
+
+    numpy divides by a scalar far faster than it takes a remainder, so
+    this is x - (x // p) * p rather than x % p; both are exact.
+    """
+    q = np.floor_divide(x, p)
+    q *= p
+    x -= q
+    return x
+
+
+def _batch_det_mod(a, p):
+    """Determinants mod p of a stack of square int64 matrices (B, n, n).
+
+    Division-free: each row below the pivot becomes piv * row - f * prow,
+    and the product of those scalings is inverted once per matrix at the
+    end.  Entries stay below p < 2^31, so every product fits in int64.
+    """
+    a = np.array(a, dtype=np.int64) % p
+    B, n, _ = a.shape
+    det = np.ones(B, dtype=np.int64)  # sign * product of the pivots
+    lead = np.ones(B, dtype=np.int64)  # product of the pivots so far
+    scale = np.ones(B, dtype=np.int64)  # det(U) = det(A) * scale
+    for k in range(n):
+        nz = a[:, k:, k] != 0
+        src = nz.argmax(axis=1) + k
+        idx = np.nonzero(src > k)[0]
+        if idx.size:
+            rk = src[idx]
+            tmp = a[idx, k, :].copy()
+            a[idx, k, :] = a[idx, rk, :]
+            a[idx, rk, :] = tmp
+            det[idx] = p - det[idx]
+        det = det * a[:, k, k] % p
+        if k + 1 < n:
+            # a column without a pivot has already made det 0; scaling its
+            # rows by 1 keeps scale invertible
+            piv = np.where(nz.any(axis=1), a[:, k, k], 1)
+            upd = piv[:, None, None] * a[:, k + 1 :, k + 1 :]
+            upd -= a[:, k + 1 :, k, None] * a[:, None, k, k + 1 :]
+            a[:, k + 1 :, k + 1 :] = _mod_inplace(upd, p)
+            lead = lead * piv % p
+            scale = scale * lead % p
+    return det * _modpow(scale, p - 2, p) % p
+
+
+def _chunked_det(stack, p):
+    """_batch_det_mod in chunks of about 2e6 entries, to cap working memory."""
+    n = stack.shape[1]
+    chunk = max(1, 2_000_000 // max(n * n, 1))
+    return np.concatenate(
+        [_batch_det_mod(stack[i : i + chunk], p) for i in range(0, len(stack), chunk)]
+    )
+
+
+def _gauss_jordan_mod(a, p):
+    """Division-free Gauss-Jordan elimination of [A | I] mod p, batched.
+
+    For a stack a of shape (B, n, n) with entries in [0, p), returns
+    (M, rank, pivotal, sign, lead) with M = [R | T] and T A = R.  The
+    rank[b] pivot rows of R come first, in the order of their pivot
+    columns (pivotal[b, k] marks those), and every other pivot column is
+    zero in them.  Each step replaces every row by piv * row - f * prow
+    (f = 0 on the pivot row itself), so det T = sign * lead^n with lead
+    the product of the pivots.
+    """
+    B, n, _ = a.shape
+    M = np.zeros((B, n, 2 * n), dtype=np.int64)
+    M[:, :, :n] = a
+    M[:, :, n:] = np.eye(n, dtype=np.int64)
+    rank = np.zeros(B, dtype=np.int64)
+    pivotal = np.zeros((B, n), dtype=bool)
+    sign = np.ones(B, dtype=np.int64)
+    lead = np.ones(B, dtype=np.int64)
+    rows = np.arange(n)
+    bi = np.arange(B)
+    for k in range(n):
+        cand = (M[:, :, k] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        # rank <= k < n, so M[bi, rank] is a row even where column k has
+        # no pivot; there piv = 1 and f = 0 leave the matrix unchanged
+        src = cand.argmax(axis=1)
+        sw = np.nonzero(has & (src != rank))[0]
+        if sw.size:
+            d, s = rank[sw], src[sw]
+            tmp = M[sw, d].copy()
+            M[sw, d] = M[sw, s]
+            M[sw, s] = tmp
+            sign[sw] = -sign[sw]
+        prow = M[bi, rank]
+        piv = np.where(has, prow[:, k], 1)
+        f = np.where(has[:, None], M[:, :, k], 0)
+        f[bi, rank] = 0
+        M *= piv[:, None, None]
+        M -= f[:, :, None] * prow[:, None, :]
+        _mod_inplace(M, p)
+        lead = lead * piv % p
+        pivotal[:, k] = has
+        rank += has
+    return M, rank, pivotal, sign, lead
+
+
+def _products_but_one(x, p):
+    """out[..., i] = product of x[..., j] over j != i, mod p (no inverses)."""
+    out = np.empty_like(x)
+    acc = np.ones(x.shape[:-1], dtype=np.int64)
+    for i in range(x.shape[-1]):
+        out[..., i] = acc
+        acc = acc * x[..., i] % p
+    acc = np.ones(x.shape[:-1], dtype=np.int64)
+    for i in reversed(range(x.shape[-1])):
+        out[..., i] = out[..., i] * acc % p
+        acc = acc * x[..., i] % p
+    return out
+
+
+def _block_keep(m):
+    """keep[r] = the 2m - 2 indices left after deleting block r = {2r, 2r+1}."""
+    return np.array(
+        [[i for i in range(2 * m) if i // 2 != r] for r in range(m)], dtype=np.int64
+    ).reshape(m, 2 * m - 2)
+
+
+def _pluecker2(x):
+    """2 x 2 determinants over the last two axes, not yet reduced mod p."""
+    return x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+
+
+def _corank2_factors(M, pivotal, sign, lead, p):
+    """(u, w, kappa) with minor(r, c) = kappa * u_r * w_c for a stack of
+    Gauss-Jordan results [R | T] of N x N matrices of rank N - 2.
+
+    u (B, m) and w (B, m) are the block 2 x 2 Pluecker coordinates of the
+    left kernel (the last two rows of T) and of the right kernel y, scaled
+    by prod(d) and read off the free columns f1 < f2 of R; kappa (B,) is
+    (-1)^(f1 + f2 + 1) / (prod(d) * det T).  See the module docstring.
+    """
+    L, n, _ = M.shape
+    m = n // 2
+    u = _pluecker2(M[:, n - 2 :, n:].reshape(L, 2, m, 2).transpose(0, 2, 1, 3)) % p
+    # y_f = prod(d) on the free columns, y_{pc_i} = -R[i, f] * prod_{j != i} d_j
+    pc = np.nonzero(pivotal)[1].reshape(L, n - 2)
+    fc = np.nonzero(~pivotal)[1].reshape(L, 2)
+    R = M[:, : n - 2, :n]
+    d = np.take_along_axis(R, pc[:, :, None], axis=2)[:, :, 0]
+    rf = np.take_along_axis(R, fc[:, None, :], axis=2)
+    y = np.zeros((L, n, 2), dtype=np.int64)
+    li = np.arange(L)
+    y[li[:, None], pc] = -rf * _products_but_one(d, p)[:, :, None] % p
+    dprod = np.ones(L, dtype=np.int64)
+    for i in range(n - 2):
+        dprod = dprod * d[:, i] % p
+    y[li, fc[:, 0], 0] = dprod
+    y[li, fc[:, 1], 1] = dprod
+    w = _pluecker2(y.reshape(L, m, 2, 2)) % p
+    det_t = sign * _modpow(lead, n, p) % p
+    kappa = _modpow(dprod * det_t % p, p - 2, p)
+    neg = (fc[:, 0] + fc[:, 1]) % 2 == 0
+    kappa[neg] = p - kappa[neg]
+    return u, w, kappa
+
+
+def _block_minors_mod(a, p):
+    """det A and all block-deleted minors of a stack of N x N matrices mod
+    p (N = 2m).
+
+    Returns (det, out) of shapes (B,) and (B, m, m): out[b, r, c] is the
+    determinant of a[b] without rows 2r, 2r+1 and columns 2c, 2c+1.  One
+    Gauss-Jordan elimination serves det A and every minor of a matrix; see
+    the module docstring for the rule used at each rank.
+    """
+    a = np.array(a, dtype=np.int64) % p
+    B, n, _ = a.shape
+    m = n // 2
+    det = np.zeros(B, dtype=np.int64)
+    out = np.zeros((B, m, m), dtype=np.int64)
+    M, rank, pivotal, sign, lead = _gauss_jordan_mod(a, p)
+
+    full = np.nonzero(rank == n)[0]
+    if full.size:
+        # A^-1 = diag(d)^-1 T and det A = prod(d) / det T, so
+        # minor(r, c) = det T[blk c, blk r] * prod_{i not in blk c} d_i / det T
+        F = full.size
+        Mf = M[full]
+        diag = np.arange(n)
+        d = Mf[:, diag, diag].reshape(F, m, 2)
+        dblk = d[:, :, 0] * d[:, :, 1] % p
+        excl = _products_but_one(dblk, p)  # (F, m) over c
+        T = Mf[:, :, n:].reshape(F, m, 2, m, 2).transpose(0, 3, 1, 2, 4)
+        tdet = _pluecker2(T) % p  # (F, r, c): det T[blk c, blk r]
+        coef = sign[full] * _modpow(lead[full], p - 1 - n, p) % p
+        out[full] = tdet * excl[:, None, :] % p * coef[:, None, None] % p
+        det[full] = excl[:, 0] * dblk[:, 0] % p * coef % p
+
+    low = np.nonzero(rank == n - 2)[0]
+    if low.size:
+        u, w, kappa = _corank2_factors(
+            M[low], pivotal[low], sign[low], lead[low], p
+        )
+        out[low] = kappa[:, None, None] * u[:, :, None] % p * w[:, None, :] % p
+
+    mid = np.nonzero(rank == n - 1)[0]
+    if mid.size:
+        keep = _block_keep(m)
+        subs = a[mid][:, keep[:, None, :, None], keep[None, :, None, :]]
+        subs = subs.reshape(mid.size * m * m, n - 2, n - 2)
+        out[mid] = _chunked_det(subs, p).reshape(mid.size, m, m)
+    return det, out
+
+
+def _powers(points, maxdeg, p):
+    """out[i, j] = points[i]^j mod p, shape (len(points), maxdeg + 1)."""
+    x = np.array(points, dtype=np.int64) % p
+    out = np.ones((len(x), maxdeg + 1), dtype=np.int64)
+    for j in range(1, maxdeg + 1):
+        out[:, j] = out[:, j - 1] * x % p
+    return out
+
+
+def _vand_inv(points, p):
+    """Inverse mod p of the Vandermonde matrix V[i, j] = points[i]^j.
+
+    One Gauss-Jordan pass gives T V = diag(d), so V^-1 = diag(d)^-1 T.
+    """
+    key = (p, tuple(points))
+    cached = _vand_cache.get(key)
+    if cached is None:
+        n = len(key[1])
+        M = _gauss_jordan_mod(_powers(key[1], n - 1, p)[None], p)[0][0]
+        d_inv = _modpow(M.diagonal(), p - 2, p)
+        cached = _vand_cache[key] = d_inv[:, None] * M[:, n:] % p
+    return cached
+
+
+def _crt_symmetric(residues, primes):
+    """Symmetric-range integers from equally shaped arrays of residues
+    modulo distinct primes: int64 for one prime, else an object array."""
+    x = residues[0] if len(primes) == 1 else residues[0].astype(object)
+    M = primes[0]
+    for r, p in zip(residues[1:], primes[1:]):
+        t = (r - x % p) * pow(M, -1, p) % p
+        x = x + M * t
+        M *= p
+    return np.where(x > M // 2, x - M, x)
+
+
+def _interpolate(bound, grid, values):
+    """Exact coefficients c[a, b, s] of S polynomials
+    f_s = sum_{a,b} c[a, b, s] x^a y^b with |c| <= bound, from their values.
+
+    For each prime p, with root = sqrt(-1) mod p, grid(p, root) gives the
+    axes (xs, ys), one point per coefficient on each, and values(p, (xs,
+    ys)) the values f_s(x, y) mod p as an array (len(xs) * len(ys), S), x
+    major.  Returns c, shape (len(xs), len(ys), S): int64 for one prime,
+    else an object array.
+    """
+    primes = _primes(_num_primes_for(bound))
+    res = []
+    for p, root in primes:
+        xs, ys = grid(p, root)
+        v = values(p, (xs, ys)).reshape(len(xs), len(ys), -1)
+        v = _vand_inv(ys, p) @ v % p
+        res.append((_vand_inv(xs, p) @ v.reshape(len(xs), -1) % p).reshape(v.shape))
+    return _crt_symmetric(res, [p for p, _ in primes])
 
 
 def _evaluate(coeffs, points, p):
@@ -297,12 +667,23 @@ def det_gaussian_submatrices(mat, selections, var="t"):
     return results
 
 
+def coefficient_array(qsetup):
+    """The nested coefficient lists of a QuaternionSetup as an array of
+    shape (m, m, 4, deg + 1): int64 when every coefficient fits, as in a
+    GaussianSetup, and object (Python ints) otherwise."""
+    m = len(qsetup.shifts)
+    width = len(qsetup.coeffs[0][0][0]) if m else 1
+    q = np.array(qsetup.coeffs, dtype=object).reshape(m, m, 4, width)
+    small = all(-(2**63) < v < 2**63 for v in q.flat)
+    return q.astype(np.int64) if small else q
+
+
 def doubled_setup_of(qsetup):
     """The GaussianSetup of the complex doubling of the quaternionic
     matrix that qsetup stands for: entry (r, c) = (w + x i + y j + z k)
     becomes the block [[w + x i, y + z i], [-y + z i, w - x i]], and each
     row's shift, degree and weight belong to both of its doubled rows."""
-    q = qsetup.coeffs
+    q = coefficient_array(qsetup)
     w, x, y, z = (q[:, :, k] for k in range(4))
     m = q.shape[0]
     blocks = [[(w, x), (y, z)], [(-y, z), (w, -x)]]

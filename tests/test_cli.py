@@ -142,6 +142,20 @@ def test_fuzz_zero_walks(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["fuzz", "--name", "trefoil", "--walks", "-1", "--steps", "3"],
+    ["fuzz", "--name", "trefoil", "--walks", "2", "--steps", "-3"],
+    ["fuzz", "--name", "trefoil", "--walks", "2", "--max-crossings", "-1"],
+    ["tabulate", "--max", "-1"],
+])
+def test_negative_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be non-negative" in captured.err and captured.out == ""
+
+
 def test_fuzz_allow_forbidden_quandle_only(capsys):
     rc, out, _ = run(
         capsys, "fuzz", "--name", "trefoil", "--walks", "4", "--steps", "6",

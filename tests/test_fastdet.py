@@ -1,8 +1,11 @@
-"""The modular/interpolation determinant engine against slow exact oracles:
-Bareiss and cofactor determinants, and the general Z[i][t, t^-1] engine
-kept in gaussian_engine."""
+"""The determinant engines against slow exact oracles: fastdet's Study
+determinants by Kronecker substitution and Bareiss, and the evaluation /
+interpolation / CRT engine over Z[i][t, t^-1] kept in gaussian_engine,
+against Bareiss and cofactor determinants and against each other."""
 
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 from math import prod
@@ -12,19 +15,20 @@ import numpy as np
 import pytest
 
 import gaussian_engine as oracle
-from gaussian_engine import _coefficient_bound, _evaluate
-from vknots import fastdet
-from vknots.fastdet import (
+from gaussian_engine import (
     _batch_det_mod,
     _block_minors_mod,
+    _coefficient_bound,
     _corank2_factors,
-    _evaluate_doubling,
+    _evaluate,
     _gauss_jordan_mod,
     _interpolate,
     _is_prime,
     _num_primes_for,
     _primes,
     _vand_inv,
+)
+from vknots.fastdet import (
     block_selections,
     det_gaussian_many,
     det_gaussian_submatrices,
@@ -541,7 +545,7 @@ def _two_point(monkeypatch, fn, *args):
         return fn(*args)
 
 
-def _stack_sizes(monkeypatch, fn, *args, name="_block_minors_mod", module=fastdet):
+def _stack_sizes(monkeypatch, fn, *args, name="_block_minors_mod", module=oracle):
     """fn(*args), and the number of matrices in every stack that the
     elimination `name` bound in `module` got (one call per CRT prime)."""
     sizes = []
@@ -586,6 +590,7 @@ class Doubling(NamedTuple):
     matrix: list  # _square_doubling(code), GaussianLaurent entries
     gsetup: object  # the general engine's GaussianSetup of matrix
     one_point: list  # the general engine's block minors, on +sqrt(-1) only
+    one_point_sizes: list  # its _block_minors_mod stack sizes, one per prime
     two_point: list  # and on the two-point i axis
     det: object  # det_bareiss of matrix
 
@@ -599,29 +604,35 @@ def doublings():
         matrix = _square_doubling(code)
         gsetup = oracle._gaussian_setup(matrix)
         sels = _block_selections(len(matrix) // 2)
-        one_point = oracle.det_gaussian_submatrices(gsetup, sels)
         with pytest.MonkeyPatch.context() as mp:
+            one_point, sizes = _stack_sizes(mp, oracle.det_gaussian_submatrices,
+                                            gsetup, sels)
             two_point = _two_point(mp, oracle.det_gaussian_submatrices, gsetup, sels)
         det = det_bareiss(matrix, G_ONE)
         out.append(Doubling(code, doubled_setup(code), matrix, gsetup, one_point,
-                            two_point, det))
+                            sizes, two_point, det))
     return out
 
 
-def test_doubled_setups_take_the_one_point_axis(monkeypatch, doublings):
+def test_doubled_setups_take_the_one_point_axis(doublings):
+    """The general engine recognises every code's doubling and takes the
+    one point +sqrt(-1) (D + 1 matrices per prime), with the values of the
+    two-point axis; fastdet's Study determinants of the quaternionic
+    matrix and of each of its block submatrices are those values."""
     assert len(doublings) > 100 and max(d.code.n_crossings for d in doublings) == 10
     for k, dbl in enumerate(doublings):
         code, setup = dbl.code, dbl.qsetup
         assert oracle._is_doubling(dbl.gsetup.coeffs), code
         sels = _block_selections(len(setup.shifts))
         assert block_selections(len(setup.shifts))[0] == sels[0]
-        fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, setup, sels)
         D = 2 * sum(setup.degs)
         assert D == sum(dbl.gsetup.degs)
+        sizes = dbl.one_point_sizes
         assert len(sizes) == _num_primes_for(_coefficient_bound(dbl.gsetup.weights))
         assert sizes == [D + 1] * len(sizes), code
-        assert all(isinstance(d, LaurentPoly) for d in fast)
         assert dbl.one_point == dbl.two_point, code
+        fast = det_gaussian_submatrices(setup, sels)
+        assert all(isinstance(d, LaurentPoly) for d in fast)
         assert fast == _real(dbl.one_point), code
         assert fast[0] == dbl.det.re and dbl.det.im.is_zero(), code
         assert det_gaussian_many([setup]) == fast[:1], code  # Kronecker, full-only
@@ -650,16 +661,18 @@ def test_doubling_halves_agree_at_conjugate_points(doublings):
 
 
 def test_doublings_evaluate_as_the_oracle_lays_them_out(doublings):
-    """The engine assembles the doubling at evaluation time from the m x m
-    quaternion array; at the first two primes its stacks are those of the
-    general engine's 2m x 2m setup at +sqrt(-1), to the byte."""
+    """The engine reads the m x m quaternion lists; doubled as the oracle
+    lays them out, they are the general engine's 2m x 2m setup of the
+    doubling, and at the first two primes their stacks at +sqrt(-1) are
+    that setup's, to the byte."""
     for dbl in doublings:
         want = oracle.doubled_setup_of(dbl.qsetup)
+        assert want.coeffs.dtype == dbl.gsetup.coeffs.dtype, dbl.code
         assert np.array_equal(want.coeffs, dbl.gsetup.coeffs), dbl.code
         assert want[1:] == dbl.gsetup[1:], dbl.code
         ts = range(1, 2 * sum(dbl.qsetup.degs) + 2)
         for p, root in _primes(2):
-            got = _evaluate_doubling(dbl.qsetup.coeffs, root, ts, p)
+            got = _evaluate(want.coeffs, ((root,), ts), p)
             ref = _evaluate(dbl.gsetup.coeffs, ((root,), ts), p)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), dbl.code
 
@@ -674,6 +687,10 @@ def _big_quaternion(rng):
 
 
 def test_big_doublings_take_the_one_point_axis(monkeypatch):
+    """Doublings with coefficients past 2^63: the general engine takes the
+    one-point axis on object arrays over three or more primes, with the
+    values of the two-point axis, and fastdet's Study determinants are
+    those values and Bareiss's."""
     rng = random.Random(7300)
     for m in (1, 2, 3):
         qmat = [[_big_quaternion(rng) for _ in range(m)] for _ in range(m)]
@@ -681,11 +698,13 @@ def test_big_doublings_take_the_one_point_axis(monkeypatch):
         gsetup = oracle._gaussian_setup(dbl)
         assert gsetup.coeffs.dtype == object and oracle._is_doubling(gsetup.coeffs)
         setup = _qmat_setup(qmat)
-        assert setup.coeffs.dtype == object
+        assert oracle.coefficient_array(setup).dtype == object
         sels = _block_selections(m)
-        fast, sizes = _stack_sizes(monkeypatch, det_gaussian_submatrices, setup, sels)
+        one_point, sizes = _stack_sizes(monkeypatch, oracle.det_gaussian_submatrices,
+                                        gsetup, sels)
         assert len(sizes) >= 3 and sizes == [2 * sum(setup.degs) + 1] * len(sizes)
-        assert fast == _real(
+        fast = det_gaussian_submatrices(setup, sels)
+        assert fast == _real(one_point) == _real(
             _two_point(monkeypatch, oracle.det_gaussian_submatrices, gsetup, sels)
         )
         for (rows, cols), d in zip(sels, fast):
@@ -829,47 +848,69 @@ def _random_terms(rng, m, top):
     return terms
 
 
+def _coefficients_of(setup):
+    """Every coefficient of a QuaternionSetup's nested lists."""
+    return [v for row in setup.coeffs for entry in row for cs in entry for v in cs]
+
+
+def _nested_shape(setup):
+    """The shape (m, m, 4, width) of a QuaternionSetup's nested lists, or
+    None when they are ragged."""
+    c = setup.coeffs
+    m = len(c)
+    widths = {len(cs) for row in c for entry in row for cs in entry}
+    if any(len(row) != m for row in c) or any(len(e) != 4 for row in c for e in row):
+        return None
+    return (m, m, 4, *widths) if len(widths) <= 1 else None
+
+
+def _python_ints(setup):
+    """Whether every coefficient, shift, degree and weight is a Python int."""
+    return all(type(v) is int for v in _coefficients_of(setup)) and all(
+        type(v) is int for lst in setup[1:] for v in lst
+    )
+
+
 @pytest.mark.parametrize("big", [False, True])
 def test_quaternion_setup_matches_the_general_setup(big):
-    """The m x m quaternion array, doubled as the engine assembles it,
-    is the general engine's setup of the doubling built from the same
-    terms: coefficients, dtype, and each row's shift, degree and weight
-    twice.  Coefficients above 2^63 take Python ints; when big terms
-    cancel to small sums the array is int64 again."""
+    """The m x m quaternion lists, doubled as the oracle lays them out,
+    are the general engine's setup of the doubling built from the same
+    terms: coefficients, and each row's shift, degree and weight twice.
+    Every value is a Python int, past 2^63 too; big terms that cancel
+    leave the small sum."""
     rng = random.Random(7400 + big)
     top = 2**66 if big else 6
-    dtypes = Counter()
+    seen = Counter()
     for m in (1, 1, 2, 2, 3, 3, 4, 5):
         terms = _random_terms(rng, m, top)
         got = quaternion_setup(m, terms)
         want = oracle.gaussian_setup_from_terms(2 * m, _doubled_terms(terms))
         doubled = oracle.doubled_setup_of(got)
-        assert got.coeffs.shape[:3] == (m, m, 4)
+        assert _nested_shape(got) == (m, m, 4, max(got.degs) + 1)
         assert doubled.coeffs.dtype == want.coeffs.dtype, terms
         assert np.array_equal(doubled.coeffs, want.coeffs), terms
         assert doubled[1:] == want[1:], terms
-        assert all(type(v) is int for lst in got[1:] for v in lst)
-        dtypes[got.coeffs.dtype] += 1
+        assert _python_ints(got)
+        seen[any(abs(v) >= 2**63 for v in _coefficients_of(got))] += 1
     if big:
         n = 2**64
         cancel = quaternion_setup(1, [(0, 0, n, 0, 0, 0, 0), (0, 0, 1 - n, 2, 0, 0, 0)])
-        assert cancel.coeffs.dtype == np.int64
-        assert cancel.coeffs[0, 0, :, 0].tolist() == [1, 2, 0, 0]
-    assert dtypes[np.dtype(object) if big else np.dtype(np.int64)] > 0
+        assert [cs[0] for cs in cancel.coeffs[0][0]] == [1, 2, 0, 0]
+    assert seen[big] > 0, seen
 
 
 def _same_setup(got, want):
-    return (got.coeffs.dtype == want.coeffs.dtype
-            and got.coeffs.shape == want.coeffs.shape
-            and np.array_equal(got.coeffs, want.coeffs)
+    """got, a QuaternionSetup of nested lists, holds the values of want,
+    the numpy build, as Python ints (equal nested lists have one shape)."""
+    return (got.coeffs == want.coeffs.tolist()
             and got[1:] == want[1:]
-            and all(type(v) is int for lst in got[1:] for v in lst))
+            and _python_ints(got))
 
 
 def test_quaternion_setup_matches_the_numpy_build(monkeypatch):
     """quaternion_setup sums terms in Python ints; the numpy build it
     replaced (np.add.at, with int64-overflow guards) is the oracle: the
-    same coefficients, dtype, shifts, degrees and weights on every call
+    same coefficients, shifts, degrees and weights on every call
     the quaternionic pair makes on kink, free-circle, catalog and walk
     codes, on random terms up to 6 and past 2^63, on big terms that
     cancel to int64, and on sums that leave int64 only when added."""
@@ -897,14 +938,14 @@ def test_quaternion_setup_matches_the_numpy_build(monkeypatch):
         (1, [(0, 0, 0, 0, -(2**62), 0, 4), (0, 0, 0, 0, -(2**62), 0, 4)]),
         (3, []),
     ]
-    dtypes = Counter()
+    seen = Counter()
     for m, terms in calls:
         got = quaternion_setup(m, terms)
         assert _same_setup(got, oracle.numpy_quaternion_setup(m, terms)), (m, terms)
-        dtypes[got.coeffs.dtype] += 1
-    assert quaternion_setup(2, calls[-3][1]).coeffs.dtype == object
-    assert quaternion_setup(1, calls[-2][1]).coeffs.dtype == object  # -2^63
-    assert min(dtypes[np.dtype(object)], dtypes[np.dtype(np.int64)]) >= 5, dtypes
+        seen[any(abs(v) >= 2**63 for v in _coefficients_of(got))] += 1
+    assert quaternion_setup(2, calls[-3][1]).coeffs[1][0][1][0] == 2**63 + 5
+    assert quaternion_setup(1, calls[-2][1]).coeffs[0][0][2][0] == -(2**63)
+    assert min(seen[True], seen[False]) >= 5, seen
 
 
 def _quaternion_matrix_of_rank(rng, m, rank):
@@ -944,7 +985,7 @@ def test_engine_matches_general_engine_and_bareiss(big):
     for qmat, over in cases:
         m = len(qmat)
         setup = _qmat_setup(qmat)
-        assert (setup.coeffs.dtype == object) == over
+        assert any(abs(v) >= 2**63 for v in _coefficients_of(setup)) == over
         sels = block_selections(m)
         fast = det_gaussian_submatrices(setup, sels)
         dbl = double_matrix(qmat)
@@ -958,38 +999,37 @@ def test_engine_matches_general_engine_and_bareiss(big):
     assert 0 < nonzero < len(cases)
 
 
-def _full_only(monkeypatch, setup):
-    """The full-only det_gaussian_submatrices call, made with fastdet's
-    numpy module and its evaluation, elimination and interpolation
-    routines raising when touched."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the full-only path touched the numpy engine")
-
-    class NoNumpy:
-        def __getattr__(self, name):
-            refuse()
-
-    with monkeypatch.context() as mp:
-        for name in ("_chunked_det", "_block_minors_mod", "_interpolate",
-                     "_evaluate_doubling"):
-            mp.setattr(fastdet, name, refuse)
-        mp.setattr(fastdet, "np", NoNumpy())
-        (det,) = det_gaussian_submatrices(setup, block_selections(len(setup.shifts))[:1])
+def _full_only(setup):
+    """The full-only det_gaussian_submatrices call."""
+    (det,) = det_gaussian_submatrices(setup, block_selections(len(setup.shifts))[:1])
     return det
 
 
-def test_full_selection_alone_takes_kronecker_bareiss(monkeypatch):
+def _oracle_study(setup):
+    """det A of a QuaternionSetup by the general engine: dets[0] of its
+    call on the doubling that asks for every block selection."""
+    sels = _block_selections(len(setup.shifts))
+    return _real(oracle.det_gaussian_submatrices(oracle.doubled_setup_of(setup), sels))[0]
+
+
+def test_the_package_imports_no_numpy():
+    """Importing vknots and its command line leaves numpy unloaded: every
+    determinant is taken in Python ints."""
+    code = "import sys, vknots, vknots.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_full_selection_alone_takes_kronecker_bareiss():
     """Asked for the full selection alone, det_gaussian_submatrices takes
     det A by Kronecker substitution and Bareiss's two-step elimination on
-    the doubling's 2 x 2 blocks (fastdet._study_bareiss), with no
-    evaluation, elimination mod p or interpolation, and returns dets[0] of
-    the call that asks for every block selection and Bareiss's det over
-    GaussianLaurent.  A doubling has even rank over Q(i)(t), so the setups
-    are of rank N, N - 2 and N - 4; the constant entry root + i, whose
-    norm root^2 + 1 is 0 mod the first prime, makes the evaluated matrices
-    of rank N - 1 (and two of them N - 2) at every point of that prime,
-    where the block-selection call takes its rank N - 1 rule."""
+    the doubling's 2 x 2 blocks (fastdet._study_bareiss), and returns
+    dets[0] of the call that asks for every block selection, the general
+    engine's det A and Bareiss's det over GaussianLaurent.  A doubling has
+    even rank over Q(i)(t), so the setups are of rank N, N - 2 and N - 4;
+    the constant entry root + i, whose norm root^2 + 1 is 0 mod the first
+    prime, makes the evaluated matrices of rank N - 1 (and two of them
+    N - 2) at every point of that prime, where the general engine takes
+    its rank N - 1 rule."""
     rng = random.Random(7700)
     p, root = _primes(1)[0]
     bad = Quaternion.const(root, 1)
@@ -1008,11 +1048,11 @@ def test_full_selection_alone_takes_kronecker_bareiss(monkeypatch):
         setup = _qmat_setup(qmat)
         sels = block_selections(len(qmat))
         ts = range(1, 2 * sum(setup.degs) + 2)
-        stack = _evaluate_doubling(setup.coeffs, root, ts, p)
+        stack = _evaluate(oracle.doubled_setup_of(setup).coeffs, ((root,), ts), p)
         coranks |= set((2 * len(qmat) - _gauss_jordan_mod(stack, p)[1]).tolist())
-        det = _full_only(monkeypatch, setup)
+        det = _full_only(setup)
         assert det_gaussian_many([setup]) == [det], qmat
-        assert det == det_gaussian_submatrices(setup, sels)[0], qmat
+        assert det == det_gaussian_submatrices(setup, sels)[0] == _oracle_study(setup), qmat
         want = det_bareiss(double_matrix(qmat), G_ONE)
         assert want.im.is_zero() and det == want.re, qmat
         nonzero += not det.is_zero()
@@ -1021,7 +1061,7 @@ def test_full_selection_alone_takes_kronecker_bareiss(monkeypatch):
     for n in (2, 4, 6):
         stack = np.array([_matrix_of_rank(rng, n, rank, p)
                           for rank in range(n - 2, n + 1) for _ in range(3)])
-        assert np.array_equal(fastdet._chunked_det(stack, p), _block_minors_mod(stack, p)[0])
+        assert np.array_equal(oracle._chunked_det(stack, p), _block_minors_mod(stack, p)[0])
 
 
 def _random_setups(rng):
@@ -1058,14 +1098,14 @@ def _code_setups():
     return out
 
 
-def test_study_kronecker_matches_the_numpy_engine(monkeypatch):
+def test_study_kronecker_matches_the_numpy_engine():
     """Kronecker substitution and two-step Bareiss against the numpy
-    engine's det A (dets[0] of the call that asks for every block
-    selection, on evaluation, elimination mod p, interpolation and CRT) on
-    random setups of 1-6 rows, the rests and small relation matrices of
-    kink, free-circle, catalog and walk codes, and both pinned
-    counterexamples of the reduction; Bareiss over GaussianLaurent too up
-    to 3 rows."""
+    engine kept in gaussian_engine: its det A (dets[0] of the call on the
+    doubling that asks for every block selection, on evaluation,
+    elimination mod p, interpolation and CRT) on random setups of 1-6
+    rows, the rests and small relation matrices of kink, free-circle,
+    catalog and walk codes, and both pinned counterexamples of the
+    reduction; Bareiss over GaussianLaurent too up to 3 rows."""
     rng = random.Random(7900)
     setups = _random_setups(rng) + _code_setups()
     pinned = [reduced_gcd_counterexample(), rank_one_counterexample()]
@@ -1073,15 +1113,15 @@ def test_study_kronecker_matches_the_numpy_engine(monkeypatch):
     seen = Counter()
     for setup in setups:
         m = len(setup.shifts)
-        det = _full_only(monkeypatch, setup)
-        assert det == det_gaussian_submatrices(setup, block_selections(m))[0], setup
+        det = _full_only(setup)
+        assert det == _oracle_study(setup), setup
         seen["zero"] += det.is_zero()
-        seen["object"] += setup.coeffs.dtype == object
+        seen["object"] += oracle.coefficient_array(setup).dtype == object
         seen["zero row"] += not all(setup.weights)
         seen["past int64"] += any(abs(c) >= 2**63 for c in det.terms.values())
         seen["negative"] += any(c < 0 for c in det.terms.values())
         seen[m] += 1
-    dets = [_full_only(monkeypatch, _qmat_setup(q)) for q in pinned]
+    dets = [_full_only(_qmat_setup(q)) for q in pinned]
     assert [normalize_leadpos(d) for d in dets] == [LaurentPoly.const(9), LaurentPoly({})]
     assert dets == [det_bareiss(double_matrix(q), G_ONE).re for q in pinned]
     for setup in setups[:40]:
@@ -1089,27 +1129,35 @@ def test_study_kronecker_matches_the_numpy_engine(monkeypatch):
             qmat = [[Quaternion(*(_poly_of(setup, r, c, k) for k in range(4)))
                      for c in range(len(setup.shifts))] for r in range(len(setup.shifts))]
             want = det_bareiss(double_matrix(qmat), G_ONE)
-            assert _full_only(monkeypatch, setup) == want.re and want.im.is_zero()
+            assert _full_only(setup) == want.re and want.im.is_zero()
     assert all(seen[m] for m in range(1, 7)) and min(seen.values()) >= 2, seen
 
 
 def _poly_of(setup, r, c, k):
     """Component k of entry (r, c) of the matrix a QuaternionSetup stands
     for, its row shift put back."""
-    cs = setup.coeffs[r, c, k].tolist()
+    cs = setup.coeffs[r][c][k]
     return LaurentPoly({d + setup.shifts[r]: v for d, v in enumerate(cs) if v})
 
 
 def test_study_kronecker_meets_the_hadamard_bound():
     """1 x 1 constants c, -c i and c k times t^3: the row weight is c^2
     and det = c^2 t^6, one below the bound prod(weights) + 1 that sets
-    t = 2^B, so the top digit of the balanced base 2^B is needed."""
+    t = 2^B, so the top digit of the balanced base 2^B is needed.  The
+    same entry in a 2 x 2 matrix whose other row is the unit 1 in the
+    other column, (1, 1) minor: that minor keeps row 0 alone, so it takes
+    the bound of that row and needs its top digit too."""
     for c in (2, 3, 5, 181, 2**31 + 11, 2**70 + 1):
         for parts in ((c, 0, 0, 0), (0, -c, 0, 0), (0, 0, 0, c)):
             setup = quaternion_setup(1, [(0, 0, *parts, 3)])
             assert setup.weights == [c * c]
             (det,) = det_gaussian_submatrices(setup, block_selections(1)[:1])
             assert det == LaurentPoly({6: c * c})
+            setup = quaternion_setup(2, [(0, 0, *parts, 3), (1, 1, 1, 0, 0, 0, 0)])
+            assert setup.weights == [c * c, 1]
+            sels = block_selections(2)  # the full one, then (0, 0), (1, 1), ...
+            full, minor = det_gaussian_submatrices(setup, [sels[0], sels[2]])
+            assert full == minor == LaurentPoly({6: c * c})
     # det = c^2 (1 - t)^2 has the negative middle coefficient -2 c^2
     setup = quaternion_setup(1, [(0, 0, 5, 0, 0, 0, 0), (0, 0, -5, 0, 0, 0, 1)])
     (det,) = det_gaussian_many([setup])

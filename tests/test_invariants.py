@@ -15,7 +15,7 @@ from vknots.budget import BudgetError
 from vknots.catalog import builtin_entries
 from vknots.coloring import count_biquandle_colorings, count_iq_colorings
 import gaussian_engine as oracle
-from vknots.fastdet import block_selections, det_laurent2
+from vknots.fastdet import block_places, block_selections, det_laurent2
 from vknots.gausscode import (
     canonicalize,
     edge_structure,
@@ -586,6 +586,34 @@ def _bareiss_codim1_gcd(qmat):
     return _fold_gcd(_real(det_bareiss(sub, one)) for sub in _block_minors(qmat))
 
 
+def _oracle_study(qmat):
+    """The normalized Study determinant of a square quaternionic matrix by
+    the general engine on its doubling."""
+    return normalize_leadpos(_real(oracle.det_gaussian_many([double_matrix(qmat)])[0]))
+
+
+def _engine_block_minors(qmat):
+    """The block minors of the doubling of a square quaternionic matrix in
+    block_places order, by the general engine, which reads them all off
+    one elimination per evaluation point (gaussian_engine)."""
+    m = len(qmat)
+    keep = [tuple(i for i in range(2 * m) if i // 2 != r) for r in range(m)]
+    sels = [(keep[r], keep[c]) for r, c in block_places(m)]
+    return list(map(_real, oracle.det_gaussian_submatrices(double_matrix(qmat), sels)))
+
+
+def _engine_codim1_gcd(qmat):
+    """The gcd of _engine_block_minors: the minor sweep's gcd, at a
+    hundredth of its time on 18-row matrices."""
+    return _fold_gcd(_engine_block_minors(qmat))
+
+
+def _oracle_pair(qmat):
+    """The quaternionic pair of a square matrix by the general engine: its
+    normalized Study determinant, and the gcd of the minor sweep."""
+    return _oracle_study(qmat), _sweep_codim1_gcd(qmat)
+
+
 def _quaternionic_codes(max_crossings, walks, seed):
     """Catalog codes and random-walk codes with at most max_crossings
     crossings, each with crossings and without free circles."""
@@ -614,6 +642,11 @@ def test_codim1_gcd_matches_bareiss_sweep():
 
 
 def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
+    """codim1_gcd reduces the matrix first: one full-only engine call on
+    the k-row rest for its Study determinant, then one single-selection
+    call per block minor of the rest that the fold reads, in
+    block_selections order (none for k <= 2, whose minors are entry
+    norms), and no call on the whole matrix."""
     calls = []
     real = invariants.det_gaussian_submatrices
 
@@ -622,50 +655,51 @@ def test_codim1_gcd_makes_one_engine_call_per_code(monkeypatch):
         return real(setup, selections)
 
     monkeypatch.setattr(invariants, "det_gaussian_submatrices", counting)
+    ks = Counter()
     for code in _quaternionic_codes(5, 4, seed=33):
         qmat = quaternionic_matrix(code)
+        k = len(_reduce_quaternionic(invariants._qmat_rows(qmat))[1])
         calls.clear()
         assert codim1_gcd(qmat) == _sweep_codim1_gcd(qmat), code
-        assert [len(sels) for sels in calls] == [len(qmat) ** 2], code
-    # quaternionic_invariant reduces the relation matrix by unit pivots
-    # first and builds a coefficient array only for an engine call.
-    # Kishino: 8 rows reduce to 3 whose block-minor gcd is not 1, so one
-    # call on the reduced matrix for its Study determinant and every block
-    # minor, the full selection first, then one fallback call for the 8^2
-    # block minors of the full matrix.  The virtual trefoil: 4 rows reduce
-    # to 2 with gcd 1, so one full-only call and no full-matrix array.
-    # The trefoil: 6 rows reduce to 2 with Study determinant 0 and gcd 9,
-    # read off the kernel vectors: one full-only call and no array of the
-    # 6 rows.
+        sels = block_selections(k)
+        if k == 1:
+            assert calls == [], code
+        else:
+            read = len(calls) - 1
+            assert calls == [sels[:1]] + [[s] for s in sels[1 : 1 + read]], code
+            assert read == 0 if k == 2 else 1 <= read <= k * k, code
+        ks[min(k, 3)] += 1
+    assert min(ks.values()) >= 2 and len(ks) == 3, ks
+    # quaternionic_invariant builds a coefficient array only for an engine
+    # call.  Kishino: 8 rows reduce to 3 of Study determinant 0 whose
+    # block-minor gcd is not 1: one full-only call, then all 9 block
+    # minors one by one, and the gcd is read off kernel vectors, with no
+    # call on the 8 rows.  The virtual trefoil: 4 rows reduce to 2 with
+    # gcd 1.  The trefoil: 6 rows reduce to 2 with Study determinant 0 and
+    # gcd 9, read off kernel vectors.  Each of these two makes one
+    # full-only call.
     others = {"det_gaussian_many": [], "_qmat_setup": [], "quaternionic_matrix": [],
-              "quaternion_setup": []}
+              "quaternion_setup": [], "_matrix_minor": []}
     for name in others:
         def other(*args, _name=name, _real=getattr(invariants, name)):
             others[_name].append(args[0])
             return _real(*args)
 
         monkeypatch.setattr(invariants, name, other)
-    for text, study_want, gcd_want, m, k, gcd_from_full in (
-        (KISHINO, "0", "2 + 5*t^2 + 2*t^4", 8, 3, True),
-        (VTREF, "4 + 8*t^2 + 4*t^4", "1", 4, 2, False),
-        (TREFOIL, "0", "9", 6, 2, False),
+    for text, study_want, gcd_want, k in (
+        (KISHINO, "0", "2 + 5*t^2 + 2*t^4", 3),
+        (VTREF, "4 + 8*t^2 + 4*t^4", "1", 2),
+        (TREFOIL, "0", "9", 2),
     ):
         calls.clear()
         for args in others.values():
             args.clear()
         study, gcd = quaternionic_invariant(parse_gauss(text))
         assert (study.render(), gcd.render()) == (study_want, gcd_want)
-        full = (tuple(range(2 * k)), tuple(range(2 * k)))
-        if k >= 3:
-            assert calls[0] == block_selections(k) and calls[0][0] == full
-        else:
-            assert calls[0] == [full]
-        if gcd_from_full:
-            assert calls[1:] == [block_selections(m)[1:]]
-        else:
-            assert calls[1:] == []
-        sizes = [k, m] if gcd_from_full else [k]
-        assert others == dict({n: [] for n in others}, quaternion_setup=sizes)
+        sels = block_selections(k)
+        singles = [[s] for s in sels[1:]] if k >= 3 else []
+        assert calls == [sels[:1]] + singles
+        assert others == dict({n: [] for n in others}, quaternion_setup=[k])
 
 
 # --- unit-pivot reduction -------------------------------------------------------
@@ -710,9 +744,8 @@ def test_a_reduced_gcd_other_than_one_is_taken_again_from_the_matrix():
     reduced = [[invariants._quaternion_of(row.get(c, {})) for c in range(2)] for row in S]
     assert reduced[0][0] == q(-1, -1, 0, -1)  # (-1 - k) - i 1^-1 1
     nine, one = LaurentPoly.const(9), LaurentPoly.const(1)
-    assert normalize_leadpos(study_determinant(reduced)) == nine
-    assert codim1_gcd(reduced) == LaurentPoly.const(3)
-    assert codim1_gcd(M) == one
+    assert _oracle_pair(reduced) == (nine, LaurentPoly.const(3))
+    assert _oracle_pair(M) == (nine, one)
     assert invariants._quaternionic_pair(rows) == (nine, one)
     assert normalize_leadpos(study_determinant(M)) == nine
 
@@ -730,18 +763,25 @@ def _random_entry(rng):
     return Quaternion(*parts)
 
 
+def _random_matrices(rng, count):
+    """Random 1-4 row quaternionic matrices, entries by _random_entry."""
+    mats = []
+    for _ in range(count):
+        m = rng.randint(1, 4)
+        mats.append([[_random_entry(rng) for _ in range(m)] for _ in range(m)])
+    return mats
+
+
 def test_quaternionic_pair_matches_the_oracles_on_random_matrices():
     """On random quaternionic matrices full of non-central unit pivots
     (so the side u^-1 is written on matters) and of +-2 monomials (which
     are no pivots), the pair from the reduction is that of the full
-    matrix by study_determinant and codim1_gcd."""
+    matrix by the general engine and its minor sweep."""
     rng = random.Random(4211)
     seen = Counter()
-    for _ in range(80):
-        m = rng.randint(1, 4)
-        qmat = [[_random_entry(rng) for _ in range(m)] for _ in range(m)]
+    for qmat in _random_matrices(rng, 80):
         rows = invariants._qmat_rows(qmat)
-        want = (normalize_leadpos(study_determinant(qmat)), codim1_gcd(qmat))
+        want = _oracle_pair(qmat)
         assert invariants._quaternionic_pair(rows) == want, qmat
         steps, S = _reduce_quaternionic(rows)
         seen["pivoted"] += len(steps) > 0
@@ -755,19 +795,35 @@ def _quaternions(S):
     return [[invariants._quaternion_of(row.get(c, {})) for c in range(len(S))] for row in S]
 
 
-def _closed_form_rest(steps, S):
-    """Whether _quaternionic_pair reads the gcd off the kernel vectors:
-    at least one pivot, a nonzero 2-row rest of Study determinant 0 and
-    a rest gcd other than 1."""
-    if not (steps and len(S) == 2 and any(S)):
-        return False
+def _pair_step(rows):
+    """The step of _quaternionic_pair (see its docstring) that settles the
+    gcd of the matrix given as sparse rows, and the size k of its reduced
+    rest S, both decided by the oracles on S: 3 when no pivot was taken or
+    gcd_S = 1, 4 when gcd_S = 0, 5 when S has Study determinant 0, and 6
+    otherwise."""
+    steps, S = _reduce_quaternionic(rows)
     rest = _quaternions(S)
-    return study_determinant(rest).is_zero() and codim1_gcd(rest) != LaurentPoly.const(1)
+    gcd = _sweep_codim1_gcd(rest)
+    if not steps or gcd == LaurentPoly.const(1):
+        return 3, len(S)
+    if gcd.is_zero():
+        return 4, len(S)
+    return (5 if _oracle_study(rest).is_zero() else 6), len(S)
+
+
+def _first_minor(S):
+    """The place (r, c) and value of the first nonzero block minor of a
+    reduced S in block_places order, by the general engine."""
+    dbl = double_matrix(_quaternions(S))
+    places = block_places(len(S))
+    subs = [minor_matrix(dbl, (2 * r, 2 * r + 1), (2 * c, 2 * c + 1)) for r, c in places]
+    dets = map(_real, oracle.det_gaussian_many(subs))
+    return next((place, d) for place, d in zip(places, dets) if not d.is_zero())
 
 
 def _check_kernel_vectors(qmat, steps, S):
     """x M = 0 and M v = 0 for the lifted kernel vectors of M = qmat."""
-    x, v, _norm = invariants._kernel_vectors(steps, S)
+    x, v = invariants._kernel_vectors(steps, S)
     m = len(qmat)
     xs = [invariants._quaternion_of(x[r]) for r in range(m)]
     vs = [invariants._quaternion_of(v[c]) for c in range(m)]
@@ -775,53 +831,64 @@ def _check_kernel_vectors(qmat, steps, S):
     for k in range(m):
         assert sum((xs[r] * qmat[r][k] for r in range(m)), zero) == zero, (qmat, k)
         assert sum((qmat[k][c] * vs[c] for c in range(m)), zero) == zero, (qmat, k)
+    assert any(xs) and any(vs)
 
 
-def _singular_matrices(rng, count):
+def _singular_matrices(rng, count, dependent=1):
     """Random 3-5 row quaternionic matrices (entries by _random_entry) in
-    which one row, put at a random place, is a left combination p A + q B
-    of two others, p and q by _random_entry too."""
+    which `dependent` rows, each put at a random place, are left
+    combinations p A + q B of two others (p and q by _random_entry too),
+    so of rank at most m - dependent."""
     mats = []
     for _ in range(count):
         m = rng.randint(3, 5)
-        qmat = [[_random_entry(rng) for _ in range(m)] for _ in range(m - 1)]
-        a, b = rng.sample(range(m - 1), 2)
-        p, q = _random_entry(rng), _random_entry(rng)
-        qmat.insert(rng.randrange(m), [p * x + q * y for x, y in zip(qmat[a], qmat[b])])
+        qmat = [[_random_entry(rng) for _ in range(m)] for _ in range(m - dependent)]
+        base = len(qmat)
+        for _ in range(dependent):
+            a, b = (rng.sample(range(base), 2) if base > 1 else (0, 0))
+            p, q = _random_entry(rng), _random_entry(rng)
+            qmat.insert(rng.randrange(len(qmat) + 1),
+                        [p * x + q * y for x, y in zip(qmat[a], qmat[b])])
+            base = len(qmat)
         mats.append(qmat)
     return mats
 
 
 def test_rank_one_rest_gcd_matches_codim1_gcd_on_singular_matrices():
-    """On singular matrices whose reduction leaves a nonzero 2-row rest,
-    the lifted vectors are kernel vectors of the matrix and the gcd read
-    off them is codim1_gcd of the matrix, including where that is not the
-    rest's own gcd.  The pinned matrix has all entries units and third
-    row A + j B: one pivot leaves a rest with gcd 1 + t^2, while the
-    matrix's gcd is 1."""
+    """On singular matrices whose reduction leaves a rest of rank k - 1
+    (k >= 2), the lifted vectors are kernel vectors of the matrix and the
+    gcd read off them and the first nonzero minor of the rest is the minor
+    sweep's gcd of the matrix, including where that is not the rest's own
+    gcd.  The pinned matrix has all entries units and third row A + j B:
+    one pivot leaves a rest with gcd 1 + t^2, while the matrix's gcd is
+    1."""
     pinned = rank_one_counterexample()
     seen = Counter()
     for qmat in [pinned] + _singular_matrices(random.Random(4215), 200):
         rows = invariants._qmat_rows(qmat)
-        want = codim1_gcd(qmat)
+        want = _sweep_codim1_gcd(qmat)
         assert invariants._quaternionic_pair(rows) == (LaurentPoly({}), want), qmat
         steps, S = _reduce_quaternionic(rows)
-        if _closed_form_rest(steps, S):
+        if _pair_step(rows)[0] == 5:
             _check_kernel_vectors(qmat, steps, S)
-            assert invariants._rank_one_gcd(steps, S) == want, qmat
-            seen["closed form"] += 1
-            seen["gcd_M != gcd_S"] += codim1_gcd(_quaternions(S)) != want
+            assert invariants._rank_one_gcd(steps, S, *_first_minor(S)) == want, qmat
+            seen["rank k - 1 rest"] += 1
+            seen[f"k = {min(len(S), 3)}"] += 1
+            seen["gcd_M != gcd_S"] += _sweep_codim1_gcd(_quaternions(S)) != want
     steps, S = _reduce_quaternionic(invariants._qmat_rows(pinned))
-    assert len(steps) == 1 and codim1_gcd(_quaternions(S)) == LaurentPoly({0: 1, 2: 1})
-    assert codim1_gcd(pinned) == LaurentPoly.const(1)
-    assert seen["closed form"] >= 20 and seen["gcd_M != gcd_S"] >= 1, seen
+    assert len(steps) == 1
+    assert _sweep_codim1_gcd(_quaternions(S)) == LaurentPoly({0: 1, 2: 1})
+    assert _sweep_codim1_gcd(pinned) == LaurentPoly.const(1)
+    assert seen["rank k - 1 rest"] >= 20 and seen["gcd_M != gcd_S"] >= 1, seen
+    assert min(seen["k = 2"], seen["k = 3"]) >= 5, seen
 
 
 def test_rank_one_rests_of_torus_and_walk_codes():
     """T(2, 7), T(2, 9) and codes on move walks from the trefoil and the
-    Hopf link against codim1_gcd of the full relation matrix; most of
-    them reduce to a 2-row rest of Study determinant 0, whose lifted
-    vectors are checked to be kernel vectors of the matrix."""
+    Hopf link against the general engine and the minor sweep on the full
+    relation matrix; most of them reduce to a 2-row rest of Study
+    determinant 0, whose lifted vectors are checked to be kernel vectors
+    of the matrix."""
     codes = [parse_gauss(_torus_2_code(n)) for n in (7, 9)]
     for text in (TREFOIL, HOPF):
         for seed in range(6):
@@ -832,10 +899,10 @@ def test_rank_one_rests_of_torus_and_walk_codes():
         if es.free_circles:
             continue
         qmat = quaternionic_matrix(code)
-        want = (normalize_leadpos(study_determinant(qmat)), codim1_gcd(qmat))
-        assert quaternionic_invariant(code) == want, code
-        steps, S = _reduce_quaternionic(invariants._quaternionic_rows(es))
-        if _closed_form_rest(steps, S):
+        assert quaternionic_invariant(code) == _oracle_pair(qmat), code
+        rows = invariants._quaternionic_rows(es)
+        steps, S = _reduce_quaternionic(rows)
+        if _pair_step(rows)[0] == 5:
             _check_kernel_vectors(qmat, steps, S)
             closed += 1
     assert quaternionic_invariant(codes[0])[1] == LaurentPoly.const(49)
@@ -885,9 +952,9 @@ def _reduction_codes():
 
 def test_reduced_invariants_match_the_full_matrix_oracles():
     """quaternionic_invariant and gen_alexander, which reduce the relation
-    matrix first, against the unreduced oracles: study_determinant and
-    codim1_gcd of quaternionic_matrix(code) and det_laurent2 of
-    alexander_matrix(code)."""
+    matrix first, against the unreduced oracles: the general engine's
+    Study determinant and block-minor gcd of quaternionic_matrix(code)
+    and det_laurent2 of alexander_matrix(code)."""
     seen = Counter()
     one = LaurentPoly.const(1)
     for code in _reduction_codes():
@@ -902,15 +969,112 @@ def test_reduced_invariants_match_the_full_matrix_oracles():
         qmat = quaternionic_matrix(code)
         if es.free_circles:
             square = [row[: len(es.edges)] for row in qmat]
-            want = (LaurentPoly({}), normalize_leadpos(study_determinant(square)))
+            want = (LaurentPoly({}), _oracle_study(square))
             seen["free circle"] += 1
         else:
-            want = (normalize_leadpos(study_determinant(qmat)), codim1_gcd(qmat))
+            want = (_oracle_study(qmat), _engine_codim1_gcd(qmat))
             alexander = normalize_unit(det_laurent2(alexander_matrix(code)))
             assert gen_alexander(code) == alexander, code
             seen["gcd not 1"] += want[1] != one
         assert quaternionic_invariant(code) == want, code
     assert min(seen.values()) >= 2, seen
+
+
+def _spy_on_steps(monkeypatch):
+    """A list that records which of _rank_one_gcd (step 5) and
+    _matrix_minor (step 6) the quaternionic pair calls, by name."""
+    taken = []
+    for name in ("_rank_one_gcd", "_matrix_minor"):
+        def spy(*args, _name=name, _real=getattr(invariants, name)):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(invariants, name, spy)
+    return taken
+
+
+def _code_rows(code):
+    return invariants._quaternionic_rows(edge_structure(code))
+
+
+def test_each_step_of_the_quaternionic_pair_is_taken(monkeypatch):
+    """Steps 3-6 of _quaternionic_pair, as the oracles on the reduced rest
+    decide them (_pair_step), each settle the gcd at least 5 times over
+    random matrices, the reduction codes, and singular matrices of rank
+    m - 1 and of rank m - 2 (two dependent rows).  The pair reads kernel
+    vectors exactly at step 5, takes M's own minors exactly at step 6,
+    and gets the general engine's gcd throughout."""
+    taken = _spy_on_steps(monkeypatch)
+    mats = _random_matrices(random.Random(4211), 400)
+    mats += _singular_matrices(random.Random(4215), 200)
+    mats += _singular_matrices(random.Random(4216), 60, dependent=2)
+    mats += [quaternionic_matrix(c) for c in _reduction_codes()
+             if c.labels and not edge_structure(c).free_circles]
+    seen = Counter()
+    for qmat in mats:
+        rows = invariants._qmat_rows(qmat)
+        step, k = _pair_step(rows)
+        taken.clear()
+        _study, gcd = invariants._quaternionic_pair(rows)
+        assert gcd == _engine_codim1_gcd(qmat), qmat
+        want = {5: {"_rank_one_gcd"}, 6: {"_matrix_minor"}}.get(step, set())
+        assert set(taken) == want, (step, qmat)
+        if step != 3:  # without a pivot the rest's own gcd, 0 or not
+            assert gcd.is_zero() == (step == 4), qmat
+        seen[step] += 1
+        seen[f"step {step}, k = {min(k, 3)}"] += 1
+    assert min(seen[step] for step in (3, 4, 5, 6)) >= 5, seen
+    assert min(seen["step 5, k = 2"], seen["step 5, k = 3"]) >= 5, seen
+
+
+# The codes of the fuzz workload (200 ops at seed 1) whose relation matrix
+# reduces to a 3-row rest of Study determinant 0 and gcd other than 1.
+FUZZ_THREE_ROW_RESTS = (
+    "U4-U5+O1+U2+O3+U1+O4-O5+O2+U3+",
+    "U3+U4-O1+O3+O4-U2+/U1+O2+",
+    "O1+O4-O5+U2+O3+U4-U5+U1+O2+U3+",
+    "O3-O4+O1+U3-U4+U2+/U1+O2+",
+    "O3-O4+O1+U3-U5-O5-U4+U2+/U1+O2+",
+    "U4+U5-O3+U3+O4+O5-O1+U2+/U1+O2+",
+)
+KNOT_K = "O1+U2-U3+O4-O3+U4-U1+O2-"
+
+
+def test_rank_one_rests_of_three_rows(monkeypatch):
+    """Kishino, knot K and the fuzz workload's codes with a 3-row rest of
+    rank 2: the gcd is read off kernel vectors (step 5 at k = 3), which
+    are kernel vectors of the relation matrix, and it is the minor
+    sweep's."""
+    taken = _spy_on_steps(monkeypatch)
+    for text in (KISHINO, KNOT_K, *FUZZ_THREE_ROW_RESTS):
+        code = parse_gauss(text)
+        rows = _code_rows(code)
+        assert _pair_step(rows) == (5, 3), text
+        qmat = quaternionic_matrix(code)
+        _check_kernel_vectors(qmat, *_reduce_quaternionic(rows))
+        taken.clear()
+        assert quaternionic_invariant(code) == (LaurentPoly({}), _sweep_codim1_gcd(qmat))
+        assert taken == ["_rank_one_gcd"], text
+
+
+# The two reduction codes whose rest has a Study determinant other than 0
+# and a gcd other than 1, so the gcd is taken from the relation matrix's
+# own minors: a 9-crossing knot and a 3-component link.
+STEP_SIX_CODES = (
+    "U9-U8-U5-O5-O1+O8-U1+U7-U3-O7-U4-U6+O6+O3-U2-O9-O2-O4-",
+    "O1+O2+U1+U2+/U3+O4-U4-/O3+",
+)
+
+
+def test_step_six_codes_match_the_minor_sweep(monkeypatch):
+    taken = _spy_on_steps(monkeypatch)
+    for text, gcd in zip(STEP_SIX_CODES, ("2 + 5*t^2 + 2*t^4", "1 + 2*t^2 + t^4")):
+        code = parse_gauss(text)
+        assert _pair_step(_code_rows(code))[0] == 6, text
+        taken.clear()
+        got = quaternionic_invariant(code)
+        assert got == _oracle_pair(quaternionic_matrix(code)), text
+        assert got[1].render() == gcd and set(taken) == {"_matrix_minor"}, text
 
 
 def _fold_calls_without_skip(dets):
@@ -930,9 +1094,7 @@ def test_fold_study_gcd_skips_only_steps_that_cannot_change_it(monkeypatch):
     )
     made = unskipped = 0
     for code in _quaternionic_codes(5, 40, seed=34):
-        setup = doubled_setup(code)
-        sels = block_selections(len(setup.shifts))[1:]
-        dets = invariants.det_gaussian_submatrices(setup, sels)
+        dets = _engine_block_minors(quaternionic_matrix(code))
         calls.clear()
         fold = invariants._fold_study_gcd(LaurentPoly({}), dets)
         assert fold == _fold_gcd(dets), code
@@ -943,9 +1105,8 @@ def test_fold_study_gcd_skips_only_steps_that_cannot_change_it(monkeypatch):
 
 
 def _reference_quaternionic_invariant(code):
-    """quaternionic_invariant as it was before the single engine call: the
-    Study determinant by det_gaussian_many and codim1_gcd, each on its own
-    doubling of quaternionic_matrix."""
+    """quaternionic_invariant by the general engine on the doubling of
+    quaternionic_matrix: its Study determinant and block-minor gcd."""
     free = edge_structure(code).free_circles
     if free >= 2:
         return (LaurentPoly({}), LaurentPoly({}))
@@ -954,8 +1115,8 @@ def _reference_quaternionic_invariant(code):
         return (LaurentPoly({}), LaurentPoly.const(1))
     if free:
         square = [row[: len(qmat)] for row in qmat]
-        return (LaurentPoly({}), normalize_leadpos(study_determinant(square)))
-    return (normalize_leadpos(study_determinant(qmat)), codim1_gcd(qmat))
+        return (LaurentPoly({}), _oracle_study(square))
+    return (_oracle_study(qmat), _engine_codim1_gcd(qmat))
 
 
 def _quaternionic_setup_codes():
