@@ -214,6 +214,8 @@ def is_strong_biquandle(bq):
 
 def make_alexander_biquandle_modp(p, s, t):
     """Linear biquandle on Z_p: a^b = ta + (1-st)b, a_b = sa, barred via inverses."""
+    if p < 1:
+        raise ValueError("biquandle modulus must be at least 1")
     s %= p
     t %= p
     d, s_inv, _ = _egcd(s, p)

@@ -11,10 +11,8 @@ builds only the site it takes.  The R1Add and R2Add sites are laid out by
 count and index over the code's insertion slots (``site_count`` and
 ``site_at``, which ``enumerate_sites`` also decodes).  R3 sites are found
 by a triangle search over the adjacent distinct-label pairs, indexed by
-label; a triangle's legality depends only on its shape (which ends of the
-three strands carry which crossing, their passages and the three signs),
-one of 512 shapes, and each shape is decided once by the 96-placement
-search and remembered.  For a kind it does not take, a walk only asks
+label; a triangle's legality is a closed-form sign rule on its six
+entries (``_r3_legal``).  For a kind it does not take, a walk only asks
 whether a site exists.
 """
 
@@ -22,8 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from math import isqrt
 
 from .gausscode import (
@@ -267,32 +264,14 @@ def _apply_r2_remove(code, data):
 #
 # An R3 site is three crossings a, b, c forming a triangle: three disjoint
 # adjacent entry pairs, one per strand, with label sets {a,b}, {a,c},
-# {b,c}.  Legality is decided against the actual planar triangle: three
-# pairwise-crossing lines are affinely a fixed arrangement, so we test all
-# strand-to-line assignments, line orientations, and the mirror image,
-# requiring (1) traversal order of the two crossings along each strand,
-# (2) the crossing sign rule sign = mirror * sign(det[d_over, d_under]),
-# and (3) a transitive over/under pattern (one strand over both others,
-# one under both).  Applying the move swaps the entries of each pair.
-
-_LINE_DIRS = ((1, 0), (0, 1), (1, -1))
-# crossing position parameters along each line: _PARAM[i][j] = parameter of
-# the crossing with line j along line i (lines 0: y=0, 1: x=0, 2: x+y=1).
-_PARAM = {
-    (0, 1): (0, 0),
-    (0, 2): (1, 1),
-    (1, 2): (1, 0),
-}
-
-
-def _line_param(i, j):
-    if i < j:
-        return _PARAM[(i, j)][0]
-    return _PARAM[(j, i)][1]
-
-
-def _det2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+# {b,c}.  Applying the move swaps the entries of each pair.  Three
+# pairwise-crossing lines form one arrangement up to affine maps, so
+# legality has a closed form, the Gauss-diagram view of the third move
+# (Goussarov-Polyak-Viro, Topology 2000; Polyak, Quantum Topology 2010):
+# put the crossings at the corners of a counterclockwise triangle, and a
+# strand runs along plus or minus the edge toward its other corner; the
+# crossing sign rule sign = mirror * det(d_over, d_under) then becomes the
+# product of _r3_legal, with mirror as its common value.
 
 
 def _r3_sites(code):
@@ -326,129 +305,34 @@ def _r3_sites(code):
                 ends = {(ci, pi), (ci, qi), (cj, pj), (cj, qj), (ck, pk), (ck, qk)}
                 if len(ends) != 6:
                     continue
-                if _r3_shape_legal(_r3_key(xi, yi, xj, yj, xk, yk)):
+                if _r3_legal(((xi, yi), (xj, yj), (xk, yk))):
                     yield MoveSite("R3", ((ci, pi, qi), (cj, pj, qj), (ck, pk, qk)))
 
 
-def _r3_key(x0, y0, x1, y1, x2, y2):
-    """The shape of the triangle whose strands s = 0, 1, 2 run through the
-    entries (x_s, y_s), as an int in range(512).
+def _r3_legal(strands):
+    """Whether the triangle whose strands s = 0, 1, 2 run through the
+    entries strands[s] = (x_s, y_s), in traversal order, is a legal R3.
 
-    The crossings are numbered 0 = x0, 1 = y0 and 2 = the third.  The key is
-    layout * 64 + passages * 8 + signs.  layout = 2 * (0 -> (0, 2),
-    1 -> (2, 0), 2 -> (1, 2), 3 -> (2, 1): strand 1's crossings) + (whether
-    strand 2 meets crossing 2 first).  The passage bits (O = 1) and the sign
-    bits (+ = 1) are those of x0, y0 and strand 1's entry of crossing 2; a
-    crossing's other entry has the other passage and the same sign.
+    It is when (1) some strand is over at both of its crossings (else each
+    strand is over once and the over relation is cyclic), and (2) the
+    product sign(X) * f(over entry) * f(under entry) * tau(X) is the same
+    at all three crossings X.  The crossings are the corners 0 = x0,
+    1 = y0 and 2; f(e) is +1 when e comes first on its strand and -1 when
+    second; tau(X) is +1 when the Over strand's other crossing sits at
+    corner corner(X) + 1 mod 3, and -1 otherwise.
     """
-    a, b = x0.label, y0.label
-    if x1.label == a:
-        layout, z = 0, y1
-    elif y1.label == a:
-        layout, z = 1, x1
-    elif x1.label == b:
-        layout, z = 2, y1
-    else:
-        layout, z = 3, x1
-    layout = 2 * layout + (x2.label == z.label)
-    passages = 4 * (x0.passage == "O") + 2 * (y0.passage == "O") + (z.passage == "O")
-    signs = 4 * (x0.sign > 0) + 2 * (y0.sign > 0) + (z.sign > 0)
-    return 64 * layout + 8 * passages + signs
-
-
-def _r3_shape(key):
-    """The inverse of _r3_key: per strand ((crossing, passage), (crossing,
-    passage)) at its two ends, and the sign of each crossing 0, 1, 2."""
-    layout, rest = divmod(key, 64)
-    passages, signs = divmod(rest, 8)
-    strand1, strand2_first = divmod(layout, 2)
-    shared = strand1 // 2  # the crossing strand 1 shares with strand 0
-    other = 1 - shared
-    ends = (
-        (0, 1),
-        (2, shared) if strand1 % 2 else (shared, 2),
-        (2, other) if strand2_first else (other, 2),
-    )
-    home = (0, 0, 1)  # the strand whose entry the key's bits describe
-    over = [bool(passages & bit) for bit in (4, 2, 1)]
-    shape = tuple(
-        tuple((c, "O" if over[c] == (s == home[c]) else "U") for c in ends[s])
-        for s in range(3)
-    )
-    return shape, tuple(1 if signs & bit else -1 for bit in (4, 2, 1))
-
-
-@lru_cache(maxsize=512)
-def _r3_shape_legal(key):
-    return _r3_search(*_r3_shape(key))
-
-
-def _r3_search(strand_info, signs):
-    """Whether some placement of the three strands on the three lines
-    realizes the trio: strand_info as from _r3_shape, signs[crossing]."""
-    # over strand index at each crossing + transitivity of the over relation
-    over_count = [0, 0, 0]
-    for si, info in enumerate(strand_info):
-        for lab, passage in info:
-            if passage == "O":
-                over_count[si] += 1
-    if sorted(over_count) != [0, 1, 2]:
+    if all(x.passage != y.passage for x, y in strands):
         return False
-    # crossing -> (over strand, under strand)
-    cross_strands = {}  # label -> dict passage -> strand index
-    for si, info in enumerate(strand_info):
-        for lab, passage in info:
-            cross_strands.setdefault(lab, {})[passage] = si
-    for assign in permutations(range(3)):  # strand s -> line assign[s]
-        line_of = assign
-        strand_at_line = {line_of[s]: s for s in range(3)}
-        for orients in product((1, -1), repeat=3):
-            for mirror in (1, -1):
-                if _r3_match(
-                    strand_info,
-                    cross_strands,
-                    signs,
-                    line_of,
-                    strand_at_line,
-                    orients,
-                    mirror,
-                ):
-                    return True
-    return False
-
-
-def _r3_match(strand_info, cross_strands, signs, line_of, strand_at_line, orients, mirror):
-    # order of the two crossings along each strand must match the code
-    for si, info in enumerate(strand_info):
-        li = line_of[si]
-        (la, _pa), (lb, _pb) = info
-        other_a = _other_line(cross_strands, la, si, line_of)
-        other_b = _other_line(cross_strands, lb, si, line_of)
-        ta = orients[si] * _line_param(li, other_a)
-        tb = orients[si] * _line_param(li, other_b)
-        if not ta < tb:
-            return False
-    # signs
-    for lab, by_passage in cross_strands.items():
-        so, su = by_passage["O"], by_passage["U"]
-        do = _scaled_dir(line_of[so], orients[so])
-        du = _scaled_dir(line_of[su], orients[su])
-        s = _det2(do, du)
-        if mirror * (1 if s > 0 else -1) != signs[lab]:
-            return False
-    return True
-
-
-def _other_line(cross_strands, lab, si, line_of):
-    for strand in cross_strands[lab].values():
-        if strand != si:
-            return line_of[strand]
-    raise AssertionError("crossing must join two strands")
-
-
-def _scaled_dir(line, orient):
-    d = _LINE_DIRS[line]
-    return (orient * d[0], orient * d[1])
+    (x0, y0), _, _ = strands
+    corner = {x0.label: 0, y0.label: 1}
+    value = {}  # crossing label -> its product
+    for x, y in strands:
+        for e, f, other in ((x, 1, y), (y, -1, x)):
+            if e.passage == "O":
+                step = corner.get(other.label, 2) - corner.get(e.label, 2)
+                f *= e.sign if step % 3 == 1 else -e.sign
+            value[e.label] = value.get(e.label, 1) * f
+    return len(set(value.values())) == 1
 
 
 # --- forbidden move -------------------------------------------------------

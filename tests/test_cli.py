@@ -6,7 +6,13 @@ import pytest
 
 import vknots
 from vknots.budget import BudgetError
-from vknots.cli import enumerate_single_component, main
+import vknots.cli
+from vknots.cli import (
+    _chord_pattern_count,
+    _chord_patterns,
+    enumerate_single_component,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -156,6 +162,19 @@ def test_negative_counts_exit_2(capsys, argv):
     assert "must be non-negative" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--name", "trefoil", "--colorings", "alexander-0-1-1"],
+    ["fuzz", "--name", "trefoil", "--walks", "1", "--steps", "1",
+     "--colorings", "alexander-0-1-1"],
+])
+def test_zero_alexander_modulus_exits_2(capsys, argv):
+    # exit 1 is the fuzz divergence code, so a bad modulus must not reach it
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "modulus must be at least 1" in err
+
+
 def test_fuzz_allow_forbidden_quandle_only(capsys):
     rc, out, _ = run(
         capsys, "fuzz", "--name", "trefoil", "--walks", "4", "--steps", "6",
@@ -199,7 +218,29 @@ def test_tabulate_budget(monkeypatch):
         enumerate_single_component(2)
     # tabulation is no coloring search: the plain budget error, not a subclass
     assert type(e.value) is BudgetError
-    assert "VKNOTS_BUDGET" in str(e.value)
+    # 1 + 1 * 4 + 3 * 4^2 raw codes up to 2 crossings
+    assert str(e.value) == (
+        "tabulation would enumerate 53 codes, over the budget of 10 "
+        "(override with VKNOTS_BUDGET)"
+    )
+
+
+def test_chord_pattern_count_is_the_double_factorial():
+    double_factorials = [1, 1, 3, 15, 105, 945, 10395]  # (2n - 1)!!
+    for n, want in enumerate(double_factorials):
+        assert len(_chord_patterns(n)) == _chord_pattern_count(n) == want
+
+
+def test_tabulate_refuses_without_building_patterns(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        vknots.cli, "_chord_patterns", lambda n: calls.append(n) or []
+    )
+    rc, out, err = run(capsys, "tabulate", "--max", "12")
+    assert rc == 2
+    assert out == ""
+    assert "over the budget" in err
+    assert calls == []
 
 
 def test_tabulate_output_pinned(capsys):

@@ -50,6 +50,9 @@ def test_alexander_biquandle_rejects_nonunit():
         make_alexander_biquandle_modp(5, 0, 3)
     with pytest.raises(ValueError):
         make_alexander_biquandle_modp(3, 1, 3)  # t = 0 mod 3
+    for p in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be at least 1"):
+            make_alexander_biquandle_modp(p, 1, 1)
 
 
 def test_size_one_biquandle():

@@ -23,9 +23,7 @@ from vknots.moves import (
     MOVE_KINDS,
     MoveSite,
     _adjacent_pairs,
-    _r3_key,
-    _r3_shape,
-    _r3_shape_legal,
+    _r3_legal,
     apply_move,
     descending_switch_set,
     enumerate_sites,
@@ -230,21 +228,26 @@ def _shape_codes():
 LEGAL_R3_SHAPES = 96
 
 
-def test_r3_shape_table_is_the_placement_search():
+def _trio_strands(code, trio):
+    return tuple((code.components[ci][p], code.components[ci][q]) for ci, p, q in trio)
+
+
+def _trio_labelsets(code, trio):
+    return [tuple(e.label for e in pair) for pair in _trio_strands(code, trio)]
+
+
+def test_r3_legal_is_the_placement_search_on_every_shape():
     trio = ((0, 0, 1), (1, 0, 1), (2, 0, 1))
-    keys = set()
+    shapes = set()
     legal_count = 0
     for code in _shape_codes():
         assert validate_code(code) == []
-        key = _r3_key(*(e for comp in code.components for e in comp))
-        keys.add(key)
-        assert _r3_shape(key) == _trio_shape(code, trio)
-        labelsets = [(comp[0].label, comp[1].label) for comp in code.components]
-        legal = walk_oracle._r3_legal(code, trio, labelsets)
-        assert _r3_shape_legal(key) == legal, render_gauss(code)
+        shapes.add(_trio_shape(code, trio))
+        legal = walk_oracle._r3_legal(code, trio, _trio_labelsets(code, trio))
+        assert _r3_legal(_trio_strands(code, trio)) == legal, render_gauss(code)
         assert enumerate_sites(code, "R3") == ([MoveSite("R3", trio)] if legal else [])
         legal_count += legal
-    assert keys == set(range(512))
+    assert len(shapes) == 512
     assert legal_count == LEGAL_R3_SHAPES
 
 
@@ -261,16 +264,14 @@ def _triangles(code):
             yield trio
 
 
-def test_r3_key_of_walk_codes_names_their_shape():
-    seen = set()
+def test_r3_legal_is_the_placement_search_on_walk_triangles():
+    shapes = set()
     for code in _oracle_codes():
         for trio in _triangles(code):
-            entries = [code.components[ci][pos] for ci, p, q in trio for pos in (p, q)]
-            key = _r3_key(*entries)
-            assert key in range(512)
-            assert _r3_shape(key) == _trio_shape(code, trio), (render_gauss(code), trio)
-            seen.add(key)
-    assert len(seen) > 300
+            legal = walk_oracle._r3_legal(code, trio, _trio_labelsets(code, trio))
+            assert _r3_legal(_trio_strands(code, trio)) == legal, (render_gauss(code), trio)
+            shapes.add(_trio_shape(code, trio))
+    assert len(shapes) > 300
 
 
 # --- inverse round-trips ----------------------------------------------------------

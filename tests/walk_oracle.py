@@ -4,8 +4,12 @@ site they take, kept as a test oracle.
 ``_sites_r1_add`` and ``_sites_r2_add`` build every site of their kind by
 nested loops; ``_sites_r3`` tries every ``combinations`` trio of adjacent
 distinct-label pairs and decides legality by ``_r3_legal``, which reads the
-signs from ``edge_structure(code)`` and tries all 96 line placements of the
-trio with ``vknots.moves._r3_match``.  ``_sites_r1_remove``,
+signs from ``edge_structure(code)`` and tries all 96 placements of the
+trio on three fixed lines (every strand-to-line assignment, line
+orientation and mirror image) with ``_r3_match``.  This file owns that
+placement geometry (``_r3_match`` and its helpers), against which
+``vknots.moves._r3_legal`` and its closed-form sign rule are tested.
+``_sites_r1_remove``,
 ``_sites_r2_remove`` and ``_sites_forbidden`` return lists where
 ``vknots.moves`` now yields its sites lazily.  ``random_walk`` enumerates
 every kind in full at every step.  These routines are unchanged, and
@@ -19,7 +23,7 @@ import random
 from itertools import combinations, permutations, product
 
 from vknots.gausscode import edge_structure
-from vknots.moves import MoveSite, _adjacent_pairs, _r3_match, _slots, apply_move
+from vknots.moves import MoveSite, _adjacent_pairs, _slots, apply_move
 
 
 def enumerate_sites(code, kind):
@@ -164,6 +168,67 @@ def _r3_legal(code, trio, labelsets):
                 ):
                     return True
     return False
+
+
+# The actual planar triangle: three pairwise-crossing lines are affinely a
+# fixed arrangement, so _r3_legal tests all strand-to-line assignments,
+# line orientations, and the mirror image, requiring (1) traversal order of
+# the two crossings along each strand, (2) the crossing sign rule
+# sign = mirror * sign(det[d_over, d_under]), and (3) a transitive
+# over/under pattern (one strand over both others, one under both).
+
+_LINE_DIRS = ((1, 0), (0, 1), (1, -1))
+# crossing position parameters along each line: _PARAM[i][j] = parameter of
+# the crossing with line j along line i (lines 0: y=0, 1: x=0, 2: x+y=1).
+_PARAM = {
+    (0, 1): (0, 0),
+    (0, 2): (1, 1),
+    (1, 2): (1, 0),
+}
+
+
+def _line_param(i, j):
+    if i < j:
+        return _PARAM[(i, j)][0]
+    return _PARAM[(j, i)][1]
+
+
+def _det2(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _r3_match(strand_info, cross_strands, signs, line_of, strand_at_line, orients, mirror):
+    # order of the two crossings along each strand must match the code
+    for si, info in enumerate(strand_info):
+        li = line_of[si]
+        (la, _pa), (lb, _pb) = info
+        other_a = _other_line(cross_strands, la, si, line_of)
+        other_b = _other_line(cross_strands, lb, si, line_of)
+        ta = orients[si] * _line_param(li, other_a)
+        tb = orients[si] * _line_param(li, other_b)
+        if not ta < tb:
+            return False
+    # signs
+    for lab, by_passage in cross_strands.items():
+        so, su = by_passage["O"], by_passage["U"]
+        do = _scaled_dir(line_of[so], orients[so])
+        du = _scaled_dir(line_of[su], orients[su])
+        s = _det2(do, du)
+        if mirror * (1 if s > 0 else -1) != signs[lab]:
+            return False
+    return True
+
+
+def _other_line(cross_strands, lab, si, line_of):
+    for strand in cross_strands[lab].values():
+        if strand != si:
+            return line_of[strand]
+    raise AssertionError("crossing must join two strands")
+
+
+def _scaled_dir(line, orient):
+    d = _LINE_DIRS[line]
+    return (orient * d[0], orient * d[1])
 
 
 def _sites_forbidden(code):
